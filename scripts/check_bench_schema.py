@@ -74,8 +74,8 @@ GATES = (
 )
 
 #: Floor on cost_model.parallel_vs_serial — enforced on every payload,
-#: smoke or full, single-core or not: routing through the cost model must
-#: be within 2 % of the best static schedule everywhere.
+#: smoke or full, single-core or not: routing a parallel request through
+#: the schedule rule must be within 2 % of the serial schedule everywhere.
 MIN_PARALLEL_VS_SERIAL = 0.98
 
 #: Upper bound on the precision fast paths' SER deviation from float64.
@@ -163,7 +163,7 @@ def validate(payload: dict, *, smoke: bool) -> list[str]:
         errors.append("cost_model: parallel_vs_serial missing or not finite")
     elif ratio < MIN_PARALLEL_VS_SERIAL:
         errors.append(f"gate: cost_model.parallel_vs_serial {ratio:.3f} below "
-                      f"the {MIN_PARALLEL_VS_SERIAL} floor (the adaptive "
+                      f"the {MIN_PARALLEL_VS_SERIAL} floor (the rule-routed "
                       "schedule lost more than 2% to serial)")
     if not isinstance(cost_model.get("model"), dict):
         errors.append("cost_model: model stats missing")

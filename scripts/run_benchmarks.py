@@ -36,16 +36,15 @@ single passes because its cold/warm timings are stateful.
   headline fused-fast over chunked-reference ratio is gated at ≥ 2x on
   full runs (``reference_speedup`` ≥ 1.25x isolates the staging win);
 * ``fabric`` — the persistent execution fabric: warm-pool vs cold-spawn
-  sharded sweeps, serial vs forced-parallel ``BatchRunner`` over the full
+  sharded sweeps, serial vs parallel ``BatchRunner`` over the full
   artefact set (result-identical, manifests compared modulo wall clock),
   and the complex64 ``precision="fast"`` kernel against the float64
   reference (max abs SER deviation reported alongside the speedup);
-* ``cost_model`` — the adaptive scheduler: a cost-model-routed
-  ``schedule="auto"`` BatchRunner pass against the serial baseline
-  (``parallel_vs_serial`` ≥ 0.98 on every host — auto may never lose more
-  than 2 % to the best static schedule), plus the ``shards="auto"``
-  waveform route (bit-identical to any forced count) and the model's
-  recommendation provenance;
+* ``cost_model`` — the schedule rule: a rule-routed ``parallel=True``
+  BatchRunner pass against the serial baseline (``parallel_vs_serial``
+  ≥ 0.98 on every host — the rule may never lose more than 2 % to the
+  serial schedule), plus the ``shards="auto"`` waveform route
+  (bit-identical to any forced count) and the cost ledger's stats;
 * ``store`` — the content-addressed result store: a cold store-backed
   ``BatchRunner`` pass over the full artefact set (every artefact a miss,
   persisted) against a warm rerun (served from the store), asserting the
@@ -91,7 +90,6 @@ import argparse
 import cProfile
 import io
 import json
-import os
 import platform
 import pstats
 import sys
@@ -420,36 +418,31 @@ def benchmark_mega_batch(*, smoke: bool) -> dict:
 
 
 def benchmark_cost_model(*, smoke: bool) -> dict:
-    """The adaptive scheduler: cost-model-routed runs vs forced schedules.
+    """The schedule rule: rule-routed parallel runs vs the serial schedule.
 
-    Seeds the model's EWMAs with a serial ``BatchRunner`` pass, then runs
-    the same artefact set with ``parallel=True, schedule="auto"`` and
-    reports ``parallel_vs_serial`` — serial wall clock over auto wall
-    clock.  The schema gates this at ≥ 0.98 *unconditionally*: whatever
-    the host, letting the cost model route must never lose more than 2 %
-    to the best static choice (on one core it routes serially, so the
-    ratio sits at ~1.0; on many cores it fans out and the ratio exceeds 1).
+    Times a serial ``BatchRunner`` pass against the same artefact set with
+    ``parallel=True``, which fans out only when
+    ``min(usable_cores(), pending) > 1``, and reports
+    ``parallel_vs_serial`` — serial wall clock over routed wall clock.
+    The schema gates this at ≥ 0.98 *unconditionally*: whatever the host,
+    the rule must never lose more than 2 % to the serial schedule (on one
+    core it routes serially, so the ratio sits at ~1.0; on many cores it
+    fans out and the ratio exceeds 1).
 
-    Also records the model's shard recommendation for the waveform
-    benchmark workload and the full model stats for provenance.
+    Also records the ``shards="auto"`` resolution of the waveform
+    benchmark workload and the cost ledger's stats for provenance.
     """
-    from repro.sim.execution import get_cost_model
-    from repro.sim.waveform_engine import (ReceiverSpec, WaveformSweepSpec,
-                                           _sweep_units, run_sweep)
+    from repro.sim.execution import get_cost_model, usable_cores
+    from repro.sim.waveform_engine import ReceiverSpec, WaveformSweepSpec, run_sweep
 
     # The 0.98 floor applies to every payload, smoke included, so this
     # section always takes interleaved best-of-3 minima: a single sample
     # per side leaves the ratio at the mercy of one scheduler hiccup.
     repeats = 3
-    cost_model = get_cost_model()
-    print("cost-model scheduling head-to-head:")
-
-    # Serial passes time the baseline *and* seed the per-artefact EWMAs
-    # the auto schedule consults; serial leads each interleaved repetition
-    # so the model is warm before the first auto-routed run.
+    print("schedule-rule head-to-head:")
     timed = _time_best_each(
         [("serial", lambda: BatchRunner().run()),
-         ("auto", lambda: BatchRunner().run(parallel=True, schedule="auto"))],
+         ("auto", lambda: BatchRunner().run(parallel=True))],
         repeats)
     serial_s, serial_report = timed["serial"]
     auto_s, auto_report = timed["auto"]
@@ -459,7 +452,7 @@ def benchmark_cost_model(*, smoke: bool) -> dict:
         serial_manifest.pop("wall_clock_s")
         auto_manifest.pop("wall_clock_s")
         if serial_manifest != auto_manifest:
-            raise AssertionError("cost-model-scheduled BatchRunner manifest "
+            raise AssertionError("rule-scheduled BatchRunner manifest "
                                  f"for {artefact} differs from serial")
     parallel_vs_serial = serial_s / auto_s if auto_s > 0 else float("inf")
     print(f"  BatchRunner ({len(serial_report.manifests)} artefacts)    "
@@ -480,11 +473,8 @@ def benchmark_cost_model(*, smoke: bool) -> dict:
     auto_sweep = run_sweep(spec, shards="auto")
     if auto_sweep.cells != forced.cells:
         raise AssertionError("shards='auto' sweep disagrees with shards=1")
-    units = _sweep_units(spec, list(range(spec.num_cells)))
-    recommended = cost_model.recommend_shards(
-        "waveform:batch:reference", units, max_shards=num_points)
-    print(f"  waveform shards='auto'       resolved {auto_sweep.shards} shard(s)"
-          f"   recommendation {recommended}   (bit-identical)")
+    print(f"  waveform shards='auto'       resolved {auto_sweep.shards} "
+          "shard(s)   (bit-identical)")
     return {
         "artefacts": len(serial_report.manifests),
         "serial_s": serial_s,
@@ -493,15 +483,14 @@ def benchmark_cost_model(*, smoke: bool) -> dict:
         "auto_schedule": auto_report.schedule,
         "results_identical": True,
         "waveform_auto_shards": auto_sweep.shards,
-        "waveform_recommended_shards": recommended,
-        "cpu_count": os.cpu_count() or 1,
-        "model": cost_model.stats(),
+        "cpu_count": usable_cores(),
+        "model": get_cost_model().stats(),
     }
 
 
 def benchmark_fabric(*, smoke: bool) -> dict:
     """The execution fabric: pool reuse, parallel BatchRunner, precision."""
-    from repro.sim.execution import get_fabric
+    from repro.sim.execution import get_fabric, shutdown_fabric, usable_cores
     from repro.sim.waveform_engine import ReceiverSpec, WaveformSweepSpec, run_sweep
 
     fabric = get_fabric()
@@ -522,26 +511,31 @@ def benchmark_fabric(*, smoke: bool) -> dict:
         num_symbols=16, seed=11)
     reference = run_sweep(spec)  # in-process reference counts
     run_sweep(spec, shards=2)    # ensure the fabric pool exists (warm-up)
-    pools_before = fabric.pools_created
 
-    def checked_sharded(**kwargs):
-        sharded = run_sweep(spec, shards=2, **kwargs)
+    def checked_sharded():
+        sharded = run_sweep(spec, shards=2)
         if sharded.cells != reference.cells:
             raise AssertionError("sharded sweep disagrees with the "
                                  "in-process reference")
         return sharded
 
+    def warm():
+        pools_before = fabric.pools_created
+        sharded = checked_sharded()
+        if fabric.pools_created != pools_before:
+            raise AssertionError("warm runs must reuse the fabric pool "
+                                 f"({pools_before} -> {fabric.pools_created})")
+        return sharded
+
+    def cold():
+        shutdown_fabric()   # the sharded run spawns a fresh pool
+        return checked_sharded()
+
     # Fixed-cost measurements on a busy 1-core host are noisy; interleave
     # several short runs per configuration and keep the minima.
-    timed = _time_best_each(
-        [("warm", checked_sharded),
-         ("cold", lambda: checked_sharded(reuse_pool=False))],
-        max(repeats, 5))
+    timed = _time_best_each([("warm", warm), ("cold", cold)], max(repeats, 5))
     warm_s = timed["warm"][0]
     cold_s = timed["cold"][0]
-    if fabric.pools_created != pools_before:
-        raise AssertionError("warm runs must reuse the fabric pool "
-                             f"({pools_before} -> {fabric.pools_created})")
     reuse = cold_s / warm_s if warm_s > 0 else float("inf")
     print(f"  sharded sweep (2 shards)     cold {cold_s * 1e3:9.1f} ms   "
           f"warm {warm_s * 1e3:8.1f} ms   speedup {reuse:6.1f}x   (bit-identical)")
@@ -552,13 +546,11 @@ def benchmark_fabric(*, smoke: bool) -> dict:
     }
 
     # --- serial vs parallel BatchRunner over the full artefact set ------
-    # schedule="force" measures the raw fan-out (the pre-cost-model
-    # behaviour); the cost-model-routed schedule is benchmarked in the
-    # cost_model section.
+    # On one usable core the rule routes the parallel request serially, so
+    # the speedup gate below is recorded only there.
     timed = _time_best_each(
         [("serial", lambda: BatchRunner().run()),
-         ("parallel", lambda: BatchRunner().run(parallel=True,
-                                                schedule="force"))], repeats)
+         ("parallel", lambda: BatchRunner().run(parallel=True))], repeats)
     serial_s, serial_report = timed["serial"]
     parallel_s, parallel_report = timed["parallel"]
     for artefact in serial_report.manifests:
@@ -570,7 +562,7 @@ def benchmark_fabric(*, smoke: bool) -> dict:
             raise AssertionError("parallel BatchRunner manifest for "
                                  f"{artefact} differs from serial")
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
-    multicore = (os.cpu_count() or 1) >= 2
+    multicore = usable_cores() >= 2
     gate_enforced = multicore and not smoke
     print(f"  BatchRunner ({len(serial_report.manifests)} artefacts)    "
           f"serial {serial_s * 1e3:7.1f} ms   parallel {parallel_s * 1e3:7.1f} ms   "
@@ -580,7 +572,7 @@ def benchmark_fabric(*, smoke: bool) -> dict:
         "artefacts": len(serial_report.manifests),
         "serial_s": serial_s, "parallel_s": parallel_s, "speedup": speedup,
         "results_identical": True, "gate_enforced": gate_enforced,
-        "cpu_count": os.cpu_count() or 1,
+        "cpu_count": usable_cores(),
     }
 
     # --- complex64 fast path vs float64 reference -----------------------

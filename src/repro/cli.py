@@ -142,8 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="list registered waveform sweeps and exit")
     wav.add_argument("--shards", type=_shards_arg, default="auto",
                      metavar="N|auto",
-                     help="worker processes, or 'auto' to let the fabric's "
-                          "cost model pick (default); any shard count is "
+                     help="worker processes, or 'auto' for min(usable "
+                          "cores, cells, 4) (default); any shard count is "
                           "bit-identical under a fixed seed")
     wav.add_argument("--engine", choices=("batch", "serial"), default="batch",
                      help="vectorized burst kernel or the serial reference "

@@ -366,8 +366,8 @@ class BatchRunReport:
     results: dict[str, SweepResult] = field(default_factory=dict)
     manifests: dict[str, RunManifest] = field(default_factory=dict)
     #: How the run was actually executed: ``"serial"``, ``"parallel"``, or
-    #: ``"serial (cost model)"`` when a requested parallel run was routed
-    #: serial because the cost model predicted the fan-out tax would lose.
+    #: ``"serial (one core or job)"`` when a requested parallel run was
+    #: routed serial by :func:`~repro.sim.execution.parallel_width`.
     schedule: str | None = None
 
     def total_wall_clock_s(self) -> float:
@@ -504,31 +504,23 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def run(self, artefacts: Iterable[str] | None = None, *,
             parallel: bool = False,
-            random_state: int | None = None,
-            schedule: str = "auto") -> BatchRunReport:
+            random_state: int | None = None) -> BatchRunReport:
         """Evaluate the selected artefacts (all by default) and return a report.
 
         ``parallel=True`` fans the artefacts out over the execution
         fabric's warm pool (equivalent to constructing the runner with
         ``processes`` set; registry drivers only).  Every driver embeds its
         own seed, so a parallel run returns the same results and the same
-        manifests — modulo wall-clock fields — as a serial run.
-
-        ``schedule="auto"`` (default) lets the fabric's cost model veto a
-        requested parallel run: on a single core, or when every selected
-        artefact has a measured cost and the mean prediction does not
-        cover the dispatch overhead, the artefacts run serially instead —
-        same results, no fan-out tax.  ``schedule="force"`` honours
-        ``parallel``/``processes`` unconditionally (the benchmark baseline
-        and the pre-cost-model behaviour).
+        manifests — modulo wall-clock fields — as a serial run.  The
+        request fans out only when ``min(usable_cores(), pending) > 1``
+        (:func:`~repro.sim.execution.parallel_width`); with one usable core
+        or one artefact left to compute it runs serially — same results,
+        no fan-out tax.
 
         ``random_state`` overrides the embedded seed of every driver that
         accepts one (serial path only — the parallel fan-out runs registry
         drivers with their embedded seeds).
         """
-        if schedule not in ("auto", "force"):
-            raise ConfigurationError(
-                f"unknown schedule {schedule!r}; expected 'auto' or 'force'")
         selected = list(artefacts) if artefacts is not None else list(self.drivers)
         unknown = [artefact for artefact in selected if artefact not in self.drivers]
         if unknown:
@@ -544,20 +536,18 @@ class BatchRunner:
         keys: dict[str, tuple[dict, str]] = {}
         if self.store is not None:
             pending = self._serve_from_store(selected, report, random_state, keys)
-        from repro.sim.execution import get_cost_model
+        from repro.sim.execution import get_cost_model, parallel_width
 
         cost_model = get_cost_model()
         report.schedule = "parallel" if use_parallel else "serial"
         if pending and use_parallel:
-            # Validate before the cost model can veto the fan-out, so a
+            # Validate before the rule can route the run serial, so a
             # parallel request over custom drivers fails identically on
             # every host.
             self._require_registry_drivers(pending)
-        if pending and use_parallel and schedule == "auto":
-            kinds = [f"artefact:{artefact}" for artefact in pending]
-            if not cost_model.should_parallelize(kinds):
+            if parallel_width(len(pending)) == 1:
                 use_parallel = False
-                report.schedule = "serial (cost model)"
+                report.schedule = "serial (one core or job)"
         if pending and use_parallel:
             self._run_parallel(pending, report)
         elif pending:
@@ -649,7 +639,6 @@ class BatchRunner:
     def _run_parallel(self, selected: list[str], report: BatchRunReport) -> None:
         from repro.sim.execution import get_fabric
 
-        self._require_registry_drivers(selected)
         fabric = get_fabric()
         workers = self.processes if self.processes else min(
             len(selected), fabric.max_workers) or 1

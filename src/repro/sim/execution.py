@@ -19,11 +19,16 @@ profiles were re-synthesised per process.  The fabric amortises all of it:
   (a worker killed mid-job) is rebuilt once and the batch retried.
 * The plan-cache registry (:mod:`repro.utils.plans`) — bounded LRU caches
   for deterministic per-config state, reported by :func:`fabric_stats`.
-* :class:`CostModel` — measured per-unit cost (EWMA) per job kind plus the
-  observed dispatch overhead, so the engines can decide serial vs parallel
-  (and the shard count) from data instead of defaults.  Kept alongside the
-  fabric as a process-wide singleton (:func:`get_cost_model`) and reported
-  by :func:`fabric_stats`.
+* :func:`parallel_width` — the one scheduling rule every engine uses:
+  split ``pending`` jobs ``min(usable_cores(), pending)`` ways (capped at
+  :data:`MAX_AUTO_SHARDS` for ``shards="auto"`` sweeps); a width of 1
+  means run in process.  It reads nothing but the CPU affinity and the
+  pending count.
+* :class:`CostModel` — a measured per-unit cost ledger (EWMA) per job kind
+  plus the observed dispatch overhead.  The serve queue's
+  shortest-predicted-job-first priority reads it; no scheduler does.  Kept
+  alongside the fabric as a process-wide singleton
+  (:func:`get_cost_model`) and reported by :func:`fabric_stats`.
 
 Determinism contract: the fabric never touches RNG.  Every engine splits
 its seed into per-cell substreams *before* submitting, and jobs carry
@@ -49,9 +54,41 @@ from repro.exceptions import ConfigurationError
 from repro.utils.plans import PlanCache, all_plan_caches, plan_cache_stats  # noqa: F401
 from repro.utils.validation import ensure_integer
 
-#: Default pool width: every core, but at least 4 workers so sharded runs
-#: on small hosts still exercise real multi-process execution.
-DEFAULT_MAX_WORKERS: int = max(4, os.cpu_count() or 1)
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the OS reports
+    one (``taskset``, cgroup cpusets), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return max(1, os.cpu_count() or 1)
+
+
+#: Upper bound of a ``shards="auto"`` waveform sweep, so one sweep never
+#: claims a many-core host's whole pool.
+MAX_AUTO_SHARDS: int = 4
+
+#: EWMA weight of the newest observation in the :class:`CostModel` ledger.
+COST_EWMA_ALPHA: float = 0.3
+
+#: Per-job dispatch overhead the ledger reports before its first sample.
+DISPATCH_OVERHEAD_PRIOR_S: float = 0.03
+
+
+def parallel_width(pending: int) -> int:
+    """How many ways to split ``pending`` jobs: ``min(usable_cores(), pending)``.
+
+    The single scheduling rule of the engines (``shards="auto"`` further
+    caps it at :data:`MAX_AUTO_SHARDS`).  A width of 1 — one usable core,
+    or at most one pending job — means run in process.  The width only
+    decides where jobs run, never what they compute, so no schedule can
+    change a payload.
+    """
+    return max(1, min(usable_cores(), pending))
+
+
+#: Default pool width: every usable core, but at least 4 workers so sharded
+#: runs on small hosts still exercise real multi-process execution.
+DEFAULT_MAX_WORKERS: int = max(4, usable_cores())
 
 #: How many times one :meth:`ExecutionFabric.map_jobs` call may rebuild a
 #: broken pool before the error escapes.  Under sustained server load a
@@ -319,77 +356,34 @@ def _map_windowed(pool: ProcessPoolExecutor, fn: Callable,
 
 
 # ---------------------------------------------------------------------------
-# Adaptive cost model
+# Cost ledger
 # ---------------------------------------------------------------------------
 
 class CostModel:
-    """Measured-cost accounting for the serial-vs-parallel decision.
+    """Measured per-kind cost ledger (EWMA) plus the observed dispatch overhead.
 
-    The fabric's pool makes dispatch cheap but not free: submitting a job,
-    pickling its arguments and collecting the result costs a few tens of
-    milliseconds.  Small jobs are therefore *slower* sharded than run in
-    process — the fan-out tax the benchmarks kept recording.  This model
-    closes the loop NS-2 style: every in-process evaluation reports its
-    measured wall clock, the model keeps an exponentially weighted moving
-    average of the **per-unit cost** per job kind, and the schedulers
-    (:func:`repro.sim.waveform_engine.run_sweep`,
-    :func:`repro.sim.network_engine.run_scenario_grid`,
-    :meth:`repro.sim.batch.BatchRunner.run`) ask it whether predicted
-    compute actually amortises the measured dispatch overhead.
+    Every in-process evaluation reports its measured wall clock and the
+    ledger keeps an exponentially weighted moving average
+    (:data:`COST_EWMA_ALPHA`) of the **per-unit cost** per job kind; sharded
+    waveform sweeps also report the per-job dispatch overhead they paid.
+    The serve queue orders jobs shortest-predicted-first from
+    :meth:`predict_seconds`, and :func:`fabric_stats` reports the ledger.
+    It makes no scheduling decision — that is :func:`parallel_width` — so
+    nothing it learns can reach a payload.
 
-    Scheduling decisions never touch RNG and never change *what* is
-    computed — only where — so the fabric's determinism contract is
-    untouched: auto-scheduled results are bit-identical to any forced
-    shard count.
-
-    The model is shared process-wide (:func:`get_cost_model`) and, under
+    The ledger is shared process-wide (:func:`get_cost_model`) and, under
     the serve layer, fed from several threads at once; every read and
-    update of the EWMA state happens under an internal lock so concurrent
-    ``observe`` calls cannot interleave the read-modify-write and corrupt
-    a per-kind estimate.  Observations are microseconds apart in practice,
-    so contention is nil.
-
-    Parameters
-    ----------
-    alpha:
-        EWMA weight of the newest observation (0 < alpha <= 1).
-    dispatch_overhead_s:
-        Prior estimate of the per-job dispatch cost, refined by
-        :meth:`observe_dispatch`.
-    parallel_threshold:
-        A job must be predicted to cost at least this many dispatch
-        overheads before parallelising it can win.
-    cpu_count:
-        Core count used for clamping (defaults to the host's); on a
-        single core no parallel schedule can beat serial, so the model
-        always answers "serial" there.
+    update happens under an internal lock so concurrent ``observe`` calls
+    cannot interleave the read-modify-write and corrupt an estimate.
     """
 
-    def __init__(self, *, alpha: float = 0.3, dispatch_overhead_s: float = 0.03,
-                 parallel_threshold: float = 4.0,
-                 cpu_count: int | None = None) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        if dispatch_overhead_s <= 0:
-            raise ConfigurationError(
-                f"dispatch_overhead_s must be positive, got {dispatch_overhead_s}")
-        if parallel_threshold <= 0:
-            raise ConfigurationError(
-                f"parallel_threshold must be positive, got {parallel_threshold}")
-        self.alpha = float(alpha)
-        self.parallel_threshold = float(parallel_threshold)
-        self.cpu_count = ensure_integer(
-            cpu_count if cpu_count is not None else (os.cpu_count() or 1),
-            "cpu_count", minimum=1)
-        self._dispatch_s = float(dispatch_overhead_s)
+    def __init__(self) -> None:
+        self._dispatch_s = DISPATCH_OVERHEAD_PRIOR_S
         self._dispatch_samples = 0
         self._per_unit: dict[str, float] = {}
         self._samples: dict[str, int] = {}
-        # RLock: should_parallelize/recommend_shards read the dispatch
-        # estimate via predict_seconds while already holding the lock.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
-    # ------------------------------------------------------------------
     @property
     def dispatch_overhead_s(self) -> float:
         """Current per-job dispatch overhead estimate (prior until observed)."""
@@ -406,8 +400,8 @@ class CostModel:
             if previous is None:
                 self._per_unit[kind] = per_unit
             else:
-                self._per_unit[kind] = (self.alpha * per_unit
-                                        + (1.0 - self.alpha) * previous)
+                self._per_unit[kind] = (COST_EWMA_ALPHA * per_unit
+                                        + (1.0 - COST_EWMA_ALPHA) * previous)
             self._samples[kind] = self._samples.get(kind, 0) + 1
 
     def observe_dispatch(self, seconds: float) -> None:
@@ -418,8 +412,8 @@ class CostModel:
             if self._dispatch_samples == 0:
                 self._dispatch_s = float(seconds)
             else:
-                self._dispatch_s = (self.alpha * seconds
-                                    + (1.0 - self.alpha) * self._dispatch_s)
+                self._dispatch_s = (COST_EWMA_ALPHA * seconds
+                                    + (1.0 - COST_EWMA_ALPHA) * self._dispatch_s)
             self._dispatch_samples += 1
 
     def predict_seconds(self, kind: str, units: float) -> float | None:
@@ -430,93 +424,18 @@ class CostModel:
             return None
         return per_unit * units
 
-    # ------------------------------------------------------------------
-    def recommend_shards(self, kind: str, units: float, *,
-                         max_shards: int) -> int:
-        """Shard count minimising predicted wall clock for one evaluation.
-
-        Sharding ``k`` ways turns a ``p``-second job into roughly
-        ``p / k + k * d`` seconds of wall clock (``d`` = per-job dispatch
-        overhead: the shards dispatch through one pool, and submission /
-        result collection serialise in the parent).  That is minimised at
-        ``k* = sqrt(p / d)``, clamped to the cores and shards available.
-        Cold kinds (never measured) fall back to a conservative default so
-        the first run can seed the model; single-core hosts always get 1 —
-        no schedule can beat in-process there.
-        """
-        max_shards = ensure_integer(max_shards, "max_shards", minimum=1)
-        limit = min(max_shards, self.cpu_count)
-        if limit <= 1:
-            return 1
-        with self._lock:
-            predicted = self.predict_seconds(kind, units)
-            dispatch_s = self._dispatch_s
-        if predicted is None:
-            return min(limit, 4)
-        if predicted < self.parallel_threshold * dispatch_s:
-            return 1
-        optimum = int(round((predicted / dispatch_s) ** 0.5))
-        return max(1, min(limit, optimum))
-
-    def should_parallelize(self, kinds: Sequence[str]) -> bool:
-        """Whether fanning one job per ``kind`` out to the pool should win.
-
-        Serial is the answer on one core, and whenever every kind has been
-        measured and the mean predicted job cost does not cover the
-        dispatch threshold.  Unmeasured kinds are scheduled optimistically
-        (parallel) so the pool path stays exercised and the next runs have
-        observations to work with.
-        """
-        if self.cpu_count <= 1 or not kinds:
-            return False
-        with self._lock:
-            predictions = [self.predict_seconds(kind, 1.0) for kind in kinds]
-            dispatch_s = self._dispatch_s
-        if any(prediction is None for prediction in predictions):
-            return True
-        mean = sum(predictions) / len(predictions)
-        return mean >= self.parallel_threshold * dispatch_s
-
-    # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Counters and estimates, in the shape ``fabric_stats`` reports."""
         with self._lock:
             return {
-                "alpha": self.alpha,
-                "cpu_count": self.cpu_count,
-                "parallel_threshold": self.parallel_threshold,
+                "alpha": COST_EWMA_ALPHA,
+                "cpu_count": usable_cores(),
                 "dispatch_overhead_s": self._dispatch_s,
                 "dispatch_samples": self._dispatch_samples,
                 "kinds": {kind: {"per_unit_s": self._per_unit[kind],
                                  "samples": self._samples.get(kind, 0)}
                           for kind in sorted(self._per_unit)},
             }
-
-    def snapshot(self) -> dict:
-        """JSON-able state for persisting alongside the fabric's caches."""
-        with self._lock:
-            return {
-                "alpha": self.alpha,
-                "parallel_threshold": self.parallel_threshold,
-                "dispatch_overhead_s": self._dispatch_s,
-                "dispatch_samples": self._dispatch_samples,
-                "per_unit": dict(self._per_unit),
-                "samples": dict(self._samples),
-            }
-
-    def restore(self, state: dict) -> None:
-        """Load a :meth:`snapshot` (unknown keys ignored, shapes checked)."""
-        per_unit = state.get("per_unit", {})
-        samples = state.get("samples", {})
-        if not isinstance(per_unit, dict) or not isinstance(samples, dict):
-            raise ConfigurationError("cost-model snapshot shape invalid")
-        with self._lock:
-            self._per_unit = {str(k): float(v) for k, v in per_unit.items()}
-            self._samples = {str(k): int(samples.get(k, 0))
-                             for k in self._per_unit}
-            if "dispatch_overhead_s" in state:
-                self._dispatch_s = float(state["dispatch_overhead_s"])
-            self._dispatch_samples = int(state.get("dispatch_samples", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +470,7 @@ _COST_MODEL: CostModel | None = None
 
 
 def get_cost_model() -> CostModel:
-    """The process-wide cost model the schedulers share (lazy, like the fabric)."""
+    """The process-wide cost ledger the engines feed (lazy, like the fabric)."""
     global _COST_MODEL
     if _COST_MODEL is None:
         with _SINGLETON_LOCK:
@@ -561,7 +480,7 @@ def get_cost_model() -> CostModel:
 
 
 def reset_cost_model() -> None:
-    """Forget every observation (tests / benchmark cold-start sections)."""
+    """Forget every observation (tests / cold-ledger benchmark sections)."""
     global _COST_MODEL
     _COST_MODEL = None
 

@@ -724,11 +724,10 @@ def run_scenario_grid(names: Sequence[str] | None = None, *,
     when ``None``), so a parallel grid is result-identical to running the
     scenarios one by one — the fabric only changes where the work runs.
     Results come back keyed by scenario name, in grid order.
-    ``parallel=True`` is a request, not a command: the fabric's cost model
-    (:class:`~repro.sim.execution.CostModel`) routes the grid serially
-    when the measured per-scenario cost cannot cover the dispatch
-    overhead (always the case on single-core hosts) — results are
-    identical either way.
+    ``parallel=True`` is a request, not a command: the grid fans out only
+    when ``min(usable_cores(), pending scenarios) > 1``
+    (:func:`~repro.sim.execution.parallel_width`) and runs in process
+    otherwise — results are identical either way.
 
     ``random_state`` must be an integer seed or ``None``: a shared
     generator object would be consumed in pool-arrival order, breaking the
@@ -768,17 +767,12 @@ def run_scenario_grid(names: Sequence[str] | None = None, *,
                 persisters[name] = persist
             pending.append(name)
     jobs = [(name, seed, engine) for name in pending]
-    from repro.sim.execution import get_cost_model
+    from repro.sim.execution import get_cost_model, parallel_width
 
     cost_model = get_cost_model()
-    # The cost model may veto the fan-out: on one core, or when every
-    # pending scenario has a measured cost too small to cover the dispatch
-    # overhead, the grid runs in process instead — same results (each
-    # scenario owns its seed), no pool tax.
-    if parallel and len(jobs) > 1:
-        parallel = cost_model.should_parallelize(
-            [f"scenario:{engine}:{name}" for name in pending])
-    if parallel and len(jobs) > 1:
+    # One core or one pending scenario: the grid runs in process instead —
+    # same results (each scenario owns its seed), no pool tax.
+    if parallel and parallel_width(len(jobs)) > 1:
         from repro.sim.execution import get_fabric
 
         pairs = get_fabric().map_jobs(_evaluate_scenario_job, jobs,

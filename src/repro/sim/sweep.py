@@ -14,25 +14,11 @@ sweeps collapse into a single NumPy expression.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-
-
-def _observe_cost(kind: str, points: int, seconds: float) -> None:
-    """Report a computed (non-cached) sweep to the fabric's cost model.
-
-    One observation per evaluated grid, ``units`` = grid points: the
-    schedulers never shard these helpers directly, but the per-point EWMA
-    feeds the same ledger ``fabric_stats()`` reports, so the model sees
-    the figure drivers' inner loops too.
-    """
-    from repro.sim.execution import get_cost_model
-
-    get_cost_model().observe(f"sweep:{kind}", float(points), seconds)
 
 
 def _check_shape(results: np.ndarray, expected: tuple[int, ...]) -> np.ndarray:
@@ -98,13 +84,11 @@ def sweep_1d(values: Iterable, evaluate: Callable[[object], float], *,
         {"values": values_list, "vectorized": vectorized})
     if cached is not None:
         return values_list, _check_shape(cached, (len(values_list),))
-    started = time.perf_counter()
     if vectorized:
         results = np.asarray(evaluate(np.asarray(values_list)), dtype=float)
         results = _check_shape(results, (len(values_list),))
     else:
         results = np.array([float(evaluate(value)) for value in values_list])
-    _observe_cost("sweep-1d", len(values_list), time.perf_counter() - started)
     if persist is not None:
         persist(results)
     return values_list, results
@@ -138,7 +122,6 @@ def sweep_2d(rows: Sequence, columns: Sequence,
         {"rows": rows, "columns": columns, "vectorized": vectorized})
     if cached is not None:
         return _check_shape(cached, (len(rows), len(columns)))
-    started = time.perf_counter()
     if vectorized:
         row_grid, column_grid = np.meshgrid(np.asarray(rows), np.asarray(columns),
                                             indexing="ij")
@@ -150,8 +133,6 @@ def sweep_2d(rows: Sequence, columns: Sequence,
         for i, row in enumerate(rows):
             for j, column in enumerate(columns):
                 result[i, j] = float(evaluate(row, column))
-    _observe_cost("sweep-2d", len(rows) * len(columns),
-                  time.perf_counter() - started)
     if persist is not None:
         persist(result)
     return result

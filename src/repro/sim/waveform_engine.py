@@ -25,9 +25,7 @@ This module makes the waveform path a first-class batch subsystem:
   worker processes.  Sharded runs submit to the persistent warm pool of the
   execution fabric (:mod:`repro.sim.execution`) by default, so consecutive
   sweeps reuse live workers — and those workers keep their receiver, FIR
-  and template-bank plan caches warm across submissions.  Pass
-  ``reuse_pool=False`` to fall back to a throwaway per-call pool (the
-  cold-spawn baseline the benchmarks measure against).
+  and template-bank plan caches warm across submissions.
 
 RNG discipline (the PR 1/PR 2 substream contract, extended per shard): the
 root seed is split with ``Generator.spawn`` into **one substream per grid
@@ -52,7 +50,6 @@ the reference path is pinned by tests with explicit error-rate bounds.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -1225,11 +1222,14 @@ class WaveformSweepResult:
                                   max(cell.detection_rate for cell in cells))
         result.add_scalar("num_cells", self.spec.num_cells)
         result.add_scalar("num_symbols", self.spec.num_symbols)
-        notes = self.spec.description or "Waveform-level receiver ablation."
-        # The reference tag is omitted so golden fixtures predating the
+        result.notes = self.spec.description or "Waveform-level receiver ablation."
+        # Only keyed inputs may reach the payload: precision is part of the
+        # store key, the engine and shard count are not (they never change
+        # a number) and live on ``self``/the manifests instead.  The
+        # reference tag is omitted so golden fixtures predating the
         # precision modes stay byte-for-byte unchanged.
-        precision = "" if self.precision == "reference" else f" precision={self.precision}"
-        result.notes = f"{notes} [engine={self.engine} shards={self.shards}{precision}]"
+        if self.precision != "reference":
+            result.notes += f" [precision={self.precision}]"
         return result
 
 
@@ -1291,8 +1291,7 @@ def _sweep_units(spec: WaveformSweepSpec, pending: Sequence[int]) -> float:
 
 def run_sweep(spec: WaveformSweepSpec, *, random_state: RandomState = None,
               shards: int | str = 1, engine: str = "batch",
-              precision: str = "reference",
-              reuse_pool: bool = True, store=None) -> WaveformSweepResult:
+              precision: str = "reference", store=None) -> WaveformSweepResult:
     """Evaluate every cell of ``spec``, optionally sharded across processes.
 
     Parameters
@@ -1305,11 +1304,10 @@ def run_sweep(spec: WaveformSweepSpec, *, random_state: RandomState = None,
         grid cell, so the result is independent of ``shards``.
     shards:
         Number of worker processes.  ``1`` evaluates in-process (no pool).
-        ``"auto"`` asks the execution fabric's cost model
-        (:class:`~repro.sim.execution.CostModel`) to pick the count from
-        the predicted workload cost vs the measured dispatch overhead —
-        the result is bit-identical to any forced count (the substream
-        split never depends on the schedule).
+        ``"auto"`` resolves to ``min(usable_cores(), pending cells, 4)``
+        (:func:`~repro.sim.execution.parallel_width`) — the result is
+        bit-identical to any forced count (the substream split never
+        depends on the schedule).
     engine:
         ``"batch"`` uses the vectorized :class:`SaiyanBurstKernel` hot path;
         ``"serial"`` runs the reference ``measure_symbol_errors`` loop.
@@ -1318,12 +1316,6 @@ def run_sweep(spec: WaveformSweepSpec, *, random_state: RandomState = None,
         ``"reference"`` (default) keeps the float64 bit-parity contract;
         ``"fast"`` opts Saiyan arms into the tolerance-gated
         complex64/float32 kernel path (batch engine only).
-    reuse_pool:
-        Sharded runs submit to the persistent execution-fabric pool
-        (:mod:`repro.sim.execution`) by default, so consecutive sweeps
-        reuse live, cache-warm workers.  ``False`` creates and tears down
-        a throwaway pool for this call — the cold-spawn baseline the
-        benchmarks compare against.  Results are identical either way.
     store:
         Optional :class:`~repro.sim.store.ResultStore`.  Each grid cell is
         looked up by its content digest before compute (possible because
@@ -1361,15 +1353,14 @@ def run_sweep(spec: WaveformSweepSpec, *, random_state: RandomState = None,
     cells, keys, provenance = _resolve_cells_from_store(spec, seed, precision, store)
     pending = [index for index, cell in enumerate(cells) if cell is None]
 
-    from repro.sim.execution import get_cost_model
+    from repro.sim.execution import (MAX_AUTO_SHARDS, get_cost_model,
+                                     get_fabric, parallel_width)
 
     cost_model = get_cost_model()
     cost_kind = f"waveform:{engine}:{precision}"
     units = _sweep_units(spec, pending) if pending else 0.0
     if shards == "auto":
-        shards = (cost_model.recommend_shards(cost_kind, units,
-                                              max_shards=len(pending))
-                  if pending else 1)
+        shards = min(parallel_width(len(pending)), MAX_AUTO_SHARDS)
 
     indexed: list[tuple[int, WaveformCell]] = []
     if not pending:
@@ -1396,26 +1387,18 @@ def run_sweep(spec: WaveformSweepSpec, *, random_state: RandomState = None,
                 for indices in assignments]
         predicted = cost_model.predict_seconds(cost_kind, units)
         started = time.perf_counter()
-        if reuse_pool:
-            from repro.sim.execution import get_fabric
-
-            # The degradation contract for the hot path: a pool that stays
-            # broken through every rebuild runs the shards serially
-            # in-process instead of failing the sweep (results identical —
-            # jobs are pure functions of their arguments).
-            for shard_results in get_fabric().map_jobs(
-                    _evaluate_cells, jobs, min_workers=len(assignments),
-                    fallback_serial=True):
-                indexed.extend(shard_results)
-        else:
-            with ProcessPoolExecutor(max_workers=len(assignments)) as pool:
-                futures = [pool.submit(_evaluate_cells, *job) for job in jobs]
-                for future in futures:
-                    indexed.extend(future.result())
-        if predicted is not None and reuse_pool:
+        # The degradation contract for the hot path: a pool that stays
+        # broken through every rebuild runs the shards serially
+        # in-process instead of failing the sweep (results identical —
+        # jobs are pure functions of their arguments).
+        for shard_results in get_fabric().map_jobs(
+                _evaluate_cells, jobs, min_workers=len(assignments),
+                fallback_serial=True):
+            indexed.extend(shard_results)
+        if predicted is not None:
             # The wall clock beyond the predicted per-shard compute is the
             # fan-out tax; attribute it evenly to the dispatched jobs so
-            # the model's dispatch-overhead EWMA tracks the live pool.
+            # the ledger's dispatch-overhead EWMA tracks the live pool.
             elapsed = time.perf_counter() - started
             overhead = (elapsed - predicted / len(assignments)) / len(assignments)
             cost_model.observe_dispatch(max(0.0, overhead))

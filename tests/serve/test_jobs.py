@@ -125,7 +125,7 @@ def test_cost_profile_matches_engine_vocabulary():
 def test_predict_priority_cold_kind_sorts_last():
     from repro.sim.execution import CostModel
 
-    model = CostModel(cpu_count=4)
+    model = CostModel()
     spec = parse_job({"kind": "figure", "name": "fig7"})
     assert predict_priority(spec, model) == UNKNOWN_COST_PRIORITY
     model.observe("artefact:fig7", 1.0, 0.25)

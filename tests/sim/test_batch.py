@@ -340,19 +340,30 @@ def test_batch_runner_parallel_full_registry_matches_serial_manifests():
             assert np.array_equal(serial_series.y, parallel_series.y), artefact
 
 
-def test_batch_runner_parallel_goes_through_the_fabric():
-    from repro.sim.execution import get_fabric
+def test_batch_runner_parallel_goes_through_the_fabric(monkeypatch):
+    from repro.sim import execution
 
-    fabric = get_fabric()
-    # schedule="force" bypasses the cost model so the fan-out happens
-    # even on single-core hosts, where "auto" would route serially.
-    BatchRunner().run(["fig16"], parallel=True,
-                      schedule="force")  # ensure the pool exists
+    fabric = execution.get_fabric()
+    # Two usable cores make the rule fan out even on single-core hosts,
+    # where it would route the run serially.
+    monkeypatch.setattr(execution, "usable_cores", lambda: 2)
+    BatchRunner().run(["fig16", "tab2"], parallel=True)  # ensure the pool exists
     pools_before = fabric.pools_created
     jobs_before = fabric.jobs_dispatched
-    BatchRunner().run(["fig16", "tab2"], parallel=True, schedule="force")
+    report = BatchRunner().run(["fig16", "tab2"], parallel=True)
+    assert report.schedule == "parallel"
     assert fabric.pools_created == pools_before
     assert fabric.jobs_dispatched == jobs_before + 2
+
+
+def test_batch_runner_parallel_request_on_one_core_runs_serially(monkeypatch):
+    from repro.sim import execution
+
+    monkeypatch.setattr(execution, "usable_cores", lambda: 1)
+    jobs_before = execution.get_fabric().jobs_dispatched
+    report = BatchRunner().run(["fig16", "tab2"], parallel=True)
+    assert report.schedule == "serial (one core or job)"
+    assert execution.get_fabric().jobs_dispatched == jobs_before
 
 
 def test_batch_runner_run_parallel_kwarg_requires_registry_drivers():

@@ -1,9 +1,11 @@
-"""Unit battery for the execution fabric's adaptive cost model."""
+"""Unit battery for the execution fabric's cost ledger and schedule rule."""
 
 import pytest
 
-from repro.exceptions import ConfigurationError
-from repro.sim.execution import (CostModel, get_cost_model, reset_cost_model)
+from repro.sim import execution
+from repro.sim.execution import (COST_EWMA_ALPHA, MAX_AUTO_SHARDS, CostModel,
+                                 get_cost_model, parallel_width,
+                                 reset_cost_model)
 
 
 # ---------------------------------------------------------------------------
@@ -11,19 +13,26 @@ from repro.sim.execution import (CostModel, get_cost_model, reset_cost_model)
 # ---------------------------------------------------------------------------
 
 def test_constructor_validates_alpha():
-    for alpha in (0.0, -0.1, 1.5):
-        with pytest.raises(ConfigurationError):
+    """The EWMA weight is a module constant in (0, 1] that no caller
+    can override."""
+    assert 0.0 < COST_EWMA_ALPHA <= 1.0
+    for alpha in (0.0, -0.1, 1.5, 1.0):
+        with pytest.raises(TypeError):
             CostModel(alpha=alpha)
-    assert CostModel(alpha=1.0).alpha == 1.0
+    assert CostModel().stats()["alpha"] == COST_EWMA_ALPHA
 
 
 def test_constructor_validates_dispatch_and_threshold():
-    with pytest.raises(ConfigurationError):
-        CostModel(dispatch_overhead_s=0.0)
-    with pytest.raises(ConfigurationError):
-        CostModel(parallel_threshold=-1.0)
-    with pytest.raises(ConfigurationError):
-        CostModel(cpu_count=0)
+    """The dispatch prior is a positive module constant; the threshold
+    and core-count knobs are gone from the constructor."""
+    assert execution.DISPATCH_OVERHEAD_PRIOR_S > 0.0
+    for knob, value in (("dispatch_overhead_s", 0.0),
+                        ("parallel_threshold", -1.0),
+                        ("cpu_count", 0)):
+        with pytest.raises(TypeError):
+            CostModel(**{knob: value})
+    assert CostModel().dispatch_overhead_s == pytest.approx(
+        execution.DISPATCH_OVERHEAD_PRIOR_S)
 
 
 # ---------------------------------------------------------------------------
@@ -31,23 +40,26 @@ def test_constructor_validates_dispatch_and_threshold():
 # ---------------------------------------------------------------------------
 
 def test_observe_first_sample_sets_per_unit_exactly():
-    model = CostModel(alpha=0.3, cpu_count=8)
+    model = CostModel()
     model.observe("waveform:batch:reference", units=100.0, seconds=2.0)
     assert model.predict_seconds("waveform:batch:reference", 100.0) == pytest.approx(2.0)
     assert model.predict_seconds("waveform:batch:reference", 50.0) == pytest.approx(1.0)
 
 
 def test_observe_ewma_update_matches_the_formula():
-    model = CostModel(alpha=0.25, cpu_count=8)
+    alpha = COST_EWMA_ALPHA
+    model = CostModel()
     model.observe("k", units=1.0, seconds=1.0)     # per-unit = 1.0
-    model.observe("k", units=1.0, seconds=2.0)     # 0.25*2 + 0.75*1 = 1.25
-    assert model.predict_seconds("k", 1.0) == pytest.approx(1.25)
-    model.observe("k", units=2.0, seconds=1.0)     # 0.25*0.5 + 0.75*1.25
-    assert model.predict_seconds("k", 1.0) == pytest.approx(0.25 * 0.5 + 0.75 * 1.25)
+    model.observe("k", units=1.0, seconds=2.0)     # alpha*2 + (1-alpha)*1
+    first = alpha * 2.0 + (1 - alpha) * 1.0
+    assert model.predict_seconds("k", 1.0) == pytest.approx(first)
+    model.observe("k", units=2.0, seconds=1.0)     # per-unit = 0.5
+    assert model.predict_seconds("k", 1.0) == pytest.approx(
+        alpha * 0.5 + (1 - alpha) * first)
 
 
 def test_observe_ignores_degenerate_samples():
-    model = CostModel(cpu_count=8)
+    model = CostModel()
     model.observe("k", units=0.0, seconds=1.0)
     model.observe("k", units=-5.0, seconds=1.0)
     model.observe("k", units=1.0, seconds=-1.0)
@@ -55,115 +67,38 @@ def test_observe_ignores_degenerate_samples():
 
 
 def test_observe_dispatch_first_sample_replaces_the_prior():
-    model = CostModel(alpha=0.5, dispatch_overhead_s=0.5, cpu_count=8)
-    assert model.dispatch_overhead_s == pytest.approx(0.5)
+    model = CostModel()
+    assert model.dispatch_overhead_s == pytest.approx(
+        execution.DISPATCH_OVERHEAD_PRIOR_S)
     model.observe_dispatch(0.1)                     # replaces the prior
     assert model.dispatch_overhead_s == pytest.approx(0.1)
-    model.observe_dispatch(0.3)                     # 0.5*0.3 + 0.5*0.1
-    assert model.dispatch_overhead_s == pytest.approx(0.2)
+    model.observe_dispatch(0.3)
+    expected = COST_EWMA_ALPHA * 0.3 + (1 - COST_EWMA_ALPHA) * 0.1
+    assert model.dispatch_overhead_s == pytest.approx(expected)
     model.observe_dispatch(-1.0)                    # ignored
-    assert model.dispatch_overhead_s == pytest.approx(0.2)
+    assert model.dispatch_overhead_s == pytest.approx(expected)
 
 
 def test_predict_seconds_cold_kind_is_none():
-    model = CostModel(cpu_count=8)
+    model = CostModel()
     assert model.predict_seconds("never-seen", 10.0) is None
     model.observe("seen", 1.0, 1.0)
     assert model.predict_seconds("seen", 0.0) is None
 
 
 # ---------------------------------------------------------------------------
-# Shard recommendation
+# Stats / singleton
 # ---------------------------------------------------------------------------
 
-def test_recommend_shards_single_core_is_always_one():
-    model = CostModel(cpu_count=1)
-    model.observe("k", 1.0, 100.0)
-    assert model.recommend_shards("k", 1.0, max_shards=16) == 1
-
-
-def test_recommend_shards_cold_start_fallback():
-    model = CostModel(cpu_count=16)
-    assert model.recommend_shards("cold", 100.0, max_shards=16) == 4
-    assert model.recommend_shards("cold", 100.0, max_shards=2) == 2
-
-
-def test_recommend_shards_small_jobs_stay_serial():
-    # Predicted cost below parallel_threshold * dispatch -> stay in-process.
-    model = CostModel(cpu_count=16, dispatch_overhead_s=0.05,
-                      parallel_threshold=4.0)
-    model.observe("k", units=1.0, seconds=0.1)     # 0.1 < 4 * 0.05
-    assert model.recommend_shards("k", 1.0, max_shards=16) == 1
-
-
-def test_recommend_shards_sqrt_optimum_and_clamps():
-    model = CostModel(alpha=1.0, cpu_count=64, dispatch_overhead_s=0.01)
-    model.observe("k", units=1.0, seconds=1.0)
-    # k* = sqrt(1.0 / 0.01) = 10
-    assert model.recommend_shards("k", 1.0, max_shards=64) == 10
-    assert model.recommend_shards("k", 1.0, max_shards=3) == 3
-    small = CostModel(alpha=1.0, cpu_count=2, dispatch_overhead_s=0.01)
-    small.observe("k", units=1.0, seconds=1.0)
-    assert small.recommend_shards("k", 1.0, max_shards=64) == 2
-
-
-# ---------------------------------------------------------------------------
-# Serial-vs-parallel decision
-# ---------------------------------------------------------------------------
-
-def test_should_parallelize_single_core_or_empty_is_false():
-    model = CostModel(cpu_count=1)
-    assert model.should_parallelize(["a", "b"]) is False
-    multi = CostModel(cpu_count=8)
-    assert multi.should_parallelize([]) is False
-
-
-def test_should_parallelize_cold_kinds_are_optimistic():
-    model = CostModel(cpu_count=8)
-    model.observe("warm", 1.0, 1e-6)
-    assert model.should_parallelize(["warm", "cold"]) is True
-
-
-def test_should_parallelize_overhead_threshold():
-    model = CostModel(cpu_count=8, dispatch_overhead_s=0.05,
-                      parallel_threshold=4.0)
-    model.observe("cheap", units=1.0, seconds=0.01)
-    assert model.should_parallelize(["cheap"]) is False   # 0.01 < 0.2
-    model.observe("dear", units=1.0, seconds=10.0)
-    assert model.should_parallelize(["dear"]) is True     # 10 >= 0.2
-    # Mean over mixed kinds decides: (10 + 0.01)/2 >= 0.2.
-    assert model.should_parallelize(["dear", "cheap"]) is True
-
-
-# ---------------------------------------------------------------------------
-# Stats / snapshot / singleton
-# ---------------------------------------------------------------------------
-
-def test_stats_shape_and_content():
-    model = CostModel(alpha=0.3, cpu_count=4)
+def test_stats_shape_and_content(monkeypatch):
+    monkeypatch.setattr(execution, "usable_cores", lambda: 4)
+    model = CostModel()
     model.observe("k", 2.0, 1.0)
     stats = model.stats()
-    assert stats["alpha"] == 0.3
+    assert stats["alpha"] == COST_EWMA_ALPHA
     assert stats["cpu_count"] == 4
     assert stats["kinds"]["k"]["per_unit_s"] == pytest.approx(0.5)
     assert stats["kinds"]["k"]["samples"] == 1
-
-
-def test_snapshot_restore_round_trip():
-    model = CostModel(alpha=0.5, cpu_count=8)
-    model.observe("k", 1.0, 2.0)
-    model.observe_dispatch(0.07)
-    clone = CostModel(cpu_count=8)
-    clone.restore(model.snapshot())
-    assert clone.predict_seconds("k", 1.0) == pytest.approx(2.0)
-    assert clone.dispatch_overhead_s == pytest.approx(0.07)
-    assert clone.stats()["kinds"]["k"]["samples"] == 1
-
-
-def test_restore_rejects_bad_shapes():
-    model = CostModel(cpu_count=8)
-    with pytest.raises(ConfigurationError):
-        model.restore({"per_unit": "not-a-dict"})
 
 
 def test_get_cost_model_is_a_resettable_singleton():
@@ -182,14 +117,14 @@ def test_get_cost_model_is_a_resettable_singleton():
 # ---------------------------------------------------------------------------
 
 def test_threaded_observe_hammer_keeps_estimates_finite_and_bounded():
-    """Concurrent observe/predict/snapshot from many threads must never
+    """Concurrent observe/predict/stats from many threads must never
     corrupt the EWMA state: every estimate stays inside the convex hull
     of the observed values (any serial interleaving keeps it there), and
     no sample is lost or double-counted."""
     import math
     import threading
 
-    model = CostModel(alpha=0.3, cpu_count=8)
+    model = CostModel()
     kinds = [f"kind:{index}" for index in range(4)]
     threads_n, per_thread = 8, 200
 
@@ -206,9 +141,8 @@ def test_threaded_observe_hammer_keeps_estimates_finite_and_bounded():
                 predicted = model.predict_seconds(kind, 2.0)
                 assert predicted is None or (math.isfinite(predicted)
                                              and 1.0 <= predicted <= 2.0)
-                snapshot = model.snapshot()
-                assert all(math.isfinite(value)
-                           for value in snapshot["per_unit"].values())
+                assert all(math.isfinite(entry["per_unit_s"])
+                           for entry in model.stats()["kinds"].values())
         except Exception as error:  # noqa: BLE001 - surfaced below
             failures.append(error)
 
@@ -229,39 +163,29 @@ def test_threaded_observe_hammer_keeps_estimates_finite_and_bounded():
     assert 0.01 <= stats["dispatch_overhead_s"] <= 0.012
 
 
-def test_threaded_snapshot_restore_hammer_round_trips():
-    """snapshot() under concurrent observe() must always capture a
-    self-consistent state that restore() accepts."""
-    import threading
 
-    model = CostModel(alpha=0.5, cpu_count=4)
-    model.observe("k", 1.0, 1.0)
-    stop = threading.Event()
-    failures = []
+# ---------------------------------------------------------------------------
+# The schedule rule
+# ---------------------------------------------------------------------------
 
-    def observer():
-        value = 0
-        while not stop.is_set():
-            model.observe("k", 1.0, 0.5 + (value % 10) / 10.0)
-            value += 1
+@pytest.mark.parametrize("cores,pending,shards,fans_out", [
+    (1, 12, 1, False),
+    (8, 3, 3, True),
+    (8, 12, 4, True),
+    (8, 1, 1, False),
+], ids=["1-core", "8-cores-3-pending", "8-cores-12-pending", "1-pending"])
+def test_schedule_rule(monkeypatch, cores, pending, shards, fans_out):
+    """``shards="auto"`` resolves to min(cores, pending, 4); a parallel
+    request fans out only when min(cores, pending) > 1."""
+    monkeypatch.setattr(execution, "usable_cores", lambda: cores)
+    assert min(parallel_width(pending), MAX_AUTO_SHARDS) == shards
+    assert (parallel_width(pending) > 1) is fans_out
 
-    def copier():
-        try:
-            for _ in range(300):
-                clone = CostModel(alpha=0.5, cpu_count=4)
-                clone.restore(model.snapshot())
-                predicted = clone.predict_seconds("k", 1.0)
-                assert predicted is not None and 0.5 <= predicted <= 1.4
-        except Exception as error:  # noqa: BLE001 - collected for assert
-            failures.append(error)
 
-    worker = threading.Thread(target=observer)
-    copiers = [threading.Thread(target=copier) for _ in range(3)]
-    worker.start()
-    for thread in copiers:
-        thread.start()
-    for thread in copiers:
-        thread.join()
-    stop.set()
-    worker.join()
-    assert failures == []
+def test_usable_cores_follows_the_affinity_mask(monkeypatch):
+    if hasattr(execution.os, "sched_getaffinity"):
+        monkeypatch.setattr(execution.os, "sched_getaffinity", lambda pid: {0})
+        assert execution.usable_cores() == 1
+    monkeypatch.delattr(execution.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(execution.os, "cpu_count", lambda: None)
+    assert execution.usable_cores() == 1

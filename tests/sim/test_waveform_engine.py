@@ -202,7 +202,8 @@ def test_sweep_result_series_and_cells_for():
     assert sweep.series_names == ["saiyan-vanilla_ser", "saiyan-vanilla_ber",
                                   "plora_detection"]
     assert sweep.scalars["num_cells"] == 4.0
-    assert "engine=batch" in sweep.notes
+    # The schedule is not part of the store key, so it stays out of the payload.
+    assert "engine=" not in sweep.notes and "shards=" not in sweep.notes
 
 
 def test_registry_names_and_lookup():
@@ -255,10 +256,62 @@ def test_consecutive_sharded_sweeps_reuse_fabric_workers():
 
 
 def test_cold_spawn_path_still_bit_identical():
+    from repro.sim.execution import shutdown_fabric
+
     spec = _saiyan_spec(SaiyanMode.SUPER, num_symbols=16)
     reference = run_sweep(spec)
-    cold = run_sweep(spec, shards=2, reuse_pool=False)
+    shutdown_fabric()   # the sharded run below spawns a fresh pool
+    cold = run_sweep(spec, shards=2)
     assert cold.cells == reference.cells
+
+
+# ---------------------------------------------------------------------------
+# Payloads do not depend on the schedule
+# ---------------------------------------------------------------------------
+
+def test_sweep_payload_bytes_identical_under_every_schedule(monkeypatch):
+    """Shard count, engine and usable cores decide where cells run, never
+    what the payload holds: ``to_sweep_result().to_dict()`` is byte-equal."""
+    import json
+
+    from repro.sim import execution
+
+    spec = WaveformSweepSpec(
+        name="schedule",
+        receivers=(ReceiverSpec(mode=SaiyanMode.VANILLA),
+                   ReceiverSpec(mode=SaiyanMode.SUPER)),
+        snrs_db=SNRS, num_symbols=8, symbols_per_burst=8, seed=5)
+    payloads = set()
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(execution, "usable_cores", lambda cores=cores: cores)
+        for shards in (1, 2, "auto"):
+            for engine in ("batch", "serial"):
+                result = run_sweep(spec, shards=shards, engine=engine)
+                if shards == "auto":
+                    assert result.shards == min(cores, spec.num_cells, 4)
+                payloads.add(json.dumps(result.to_sweep_result().to_dict(),
+                                        sort_keys=True))
+    assert len(payloads) == 1
+
+
+def test_auto_shards_survive_a_zero_dispatch_estimate(monkeypatch):
+    """A warm ledger holding a 0.0 s dispatch overhead must not affect an
+    auto-sharded sweep: the shard count comes from the core-count rule."""
+    from repro.sim import execution
+
+    spec = _saiyan_spec(num_symbols=16)
+    units = waveform_engine._sweep_units(spec, range(spec.num_cells))
+    monkeypatch.setattr(execution, "usable_cores", lambda: 2)
+    execution.reset_cost_model()
+    try:
+        model = execution.get_cost_model()
+        model.observe("waveform:batch:reference", units, 1.0)
+        model.observe_dispatch(0.0)
+        auto = run_sweep(spec, shards="auto")
+    finally:
+        execution.reset_cost_model()
+    assert auto.shards == 2
+    assert auto.cells == run_sweep(spec, shards=1).cells
 
 
 # ---------------------------------------------------------------------------
