@@ -91,8 +91,10 @@ class FaultSpec:
     ``at`` lists zero-based call indices of the site at which to fire; when
     empty, ``probability`` drives a seeded per-call Bernoulli draw instead.
     ``max_fires`` bounds total fires (``None`` = unbounded).  ``delay_s`` is
-    the stall length for ``slow_shard``.  ``match`` optionally restricts the
-    spec to calls whose context contains every listed key/value pair.
+    how long a ``slow_shard`` worker sleeps before running its job: a
+    straggler that delays the batch and never changes its result.  ``match``
+    optionally restricts the spec to calls whose context contains every
+    listed key/value pair.
     """
 
     kind: str

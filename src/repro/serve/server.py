@@ -523,6 +523,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    # The headers and the body go out in separate sends; with Nagle on, a
+    # kept-alive client waits out its delayed ACK (~40 ms) on every reply.
+    disable_nagle_algorithm = True
 
     @property
     def jobs(self) -> JobServer:
@@ -534,6 +537,11 @@ class _ServeHandler(BaseHTTPRequestHandler):
     # -- helpers -------------------------------------------------------
     def _reply(self, status: int, payload: dict,
                headers: dict[str, str] | None = None) -> None:
+        self._reply_text(status, json.dumps(payload), "application/json", headers)
+
+    def _reply_text(self, status: int, body: str, content_type: str,
+                    headers: dict[str, str] | None = None) -> None:
+        """Write one response; the ``http.reply`` fault hook runs first."""
         fault = faults.fire("http.reply")
         if fault is not None and fault.kind == "http_disconnect":
             # Drop the connection before any response bytes: the client
@@ -545,29 +553,11 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 pass
             self.wfile = _NullWriter()
             return
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, status: int, body: str, content_type: str) -> None:
-        """Non-JSON reply (the rendered report); same fault hook as _reply."""
-        fault = faults.fire("http.reply")
-        if fault is not None and fault.kind == "http_disconnect":
-            self.close_connection = True
-            try:
-                self.connection.close()
-            except OSError:  # pragma: no cover - racing client close
-                pass
-            self.wfile = _NullWriter()
-            return
         encoded = body.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", f"{content_type}; charset=utf-8")
+        self.send_header("Content-Type", content_type)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.send_header("Content-Length", str(len(encoded)))
         self.end_headers()
         self.wfile.write(encoded)
@@ -600,8 +590,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
             fmt = parse_qs(parts.query).get("format", ["html"])[0]
             if fmt == "md":
                 return self._reply_text(200, rendered["markdown"],
-                                        "text/markdown")
-            return self._reply_text(200, rendered["html"], "text/html")
+                                        "text/markdown; charset=utf-8")
+            return self._reply_text(200, rendered["html"],
+                                    "text/html; charset=utf-8")
         if len(segments) >= 2 and segments[0] == "jobs":
             digest = segments[1]
             view = self.jobs.describe(digest)

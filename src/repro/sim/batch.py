@@ -471,12 +471,6 @@ class BatchRunner:
         and table).
     manifest_dir:
         When given, one ``<artefact>.json`` manifest is written per run.
-    processes:
-        When > 1, artefacts are fanned out over worker processes (only
-        available for the default registry, whose drivers are importable by
-        worker processes).  Fan-out submits to the persistent pool of the
-        execution fabric (:mod:`repro.sim.execution`), so repeated runner
-        invocations reuse live, cache-warm workers.
     store:
         Optional :class:`~repro.sim.store.ResultStore`.  Each artefact is
         looked up by its content digest before compute and persisted after,
@@ -488,7 +482,6 @@ class BatchRunner:
 
     def __init__(self, drivers: Mapping[str, Callable] | None = None, *,
                  manifest_dir: str | Path | None = None,
-                 processes: int | None = None,
                  store=None) -> None:
         if drivers is None:
             from repro.sim.experiments import FIGURE_DRIVERS
@@ -496,10 +489,7 @@ class BatchRunner:
             drivers = FIGURE_DRIVERS
         self.drivers = dict(drivers)
         self.manifest_dir = Path(manifest_dir) if manifest_dir is not None else None
-        self.processes = processes
         self.store = store
-        if processes is not None and processes < 1:
-            raise ConfigurationError(f"processes must be >= 1, got {processes}")
 
     # ------------------------------------------------------------------
     def run(self, artefacts: Iterable[str] | None = None, *,
@@ -507,9 +497,10 @@ class BatchRunner:
             random_state: int | None = None) -> BatchRunReport:
         """Evaluate the selected artefacts (all by default) and return a report.
 
-        ``parallel=True`` fans the artefacts out over the execution
-        fabric's warm pool (equivalent to constructing the runner with
-        ``processes`` set; registry drivers only).  Every driver embeds its
+        ``parallel=True`` fans the artefacts out over the persistent warm
+        pool of the execution fabric (:mod:`repro.sim.execution`; registry
+        drivers only, since worker processes import them by artefact id), so
+        repeated runs reuse live, cache-warm workers.  Every driver embeds its
         own seed, so a parallel run returns the same results and the same
         manifests — modulo wall-clock fields — as a serial run.  The
         request fans out only when ``min(usable_cores(), pending) > 1``
@@ -526,8 +517,7 @@ class BatchRunner:
         if unknown:
             raise ConfigurationError(f"unknown artefacts {unknown}; "
                                      f"known: {sorted(self.drivers)}")
-        use_parallel = parallel or (self.processes is not None and self.processes > 1)
-        if random_state is not None and use_parallel:
+        if random_state is not None and parallel:
             raise ConfigurationError(
                 "the parallel fan-out runs registry drivers with their "
                 "embedded seeds; random_state requires the serial path")
@@ -539,16 +529,16 @@ class BatchRunner:
         from repro.sim.execution import get_cost_model, parallel_width
 
         cost_model = get_cost_model()
-        report.schedule = "parallel" if use_parallel else "serial"
-        if pending and use_parallel:
+        report.schedule = "parallel" if parallel else "serial"
+        if pending and parallel:
             # Validate before the rule can route the run serial, so a
             # parallel request over custom drivers fails identically on
             # every host.
             self._require_registry_drivers(pending)
             if parallel_width(len(pending)) == 1:
-                use_parallel = False
+                parallel = False
                 report.schedule = "serial (one core or job)"
-        if pending and use_parallel:
+        if pending and parallel:
             self._run_parallel(pending, report)
         elif pending:
             for artefact in pending:
@@ -640,15 +630,10 @@ class BatchRunner:
         from repro.sim.execution import get_fabric
 
         fabric = get_fabric()
-        workers = self.processes if self.processes else min(
-            len(selected), fabric.max_workers) or 1
+        workers = min(len(selected), fabric.max_workers)
         jobs = [(artefact,) for artefact in selected]
-        # ``processes`` keeps its pre-fabric meaning of a concurrency
-        # bound: at most that many artefacts are in flight at once, even
-        # though the shared pool may be wider.
         for artefact, result, manifest in fabric.map_jobs(
-                _evaluate_registered, jobs, min_workers=workers,
-                max_parallel=self.processes):
+                _evaluate_registered, jobs, min_workers=workers):
             report.results[artefact] = result
             report.manifests[artefact] = manifest
 

@@ -16,7 +16,8 @@ profiles were re-synthesised per process.  The fabric amortises all of it:
   submit to: the waveform engine's grid shards, the
   :class:`~repro.sim.batch.BatchRunner` artefact fan-out, and the network
   engine's scenario grids.  Results come back in job order; a broken pool
-  (a worker killed mid-job) is rebuilt once and the batch retried.
+  (a worker killed mid-job) is rebuilt and the batch retried, up to
+  :data:`POOL_REBUILD_LIMIT` times.
 * The plan-cache registry (:mod:`repro.utils.plans`) — bounded LRU caches
   for deterministic per-config state, reported by :func:`fabric_stats`.
 * :func:`parallel_width` — the one scheduling rule every engine uses:
@@ -44,13 +45,11 @@ import atexit
 import os
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence
 
 from repro import faults
-from repro.exceptions import ConfigurationError
 from repro.utils.plans import PlanCache, all_plan_caches, plan_cache_stats  # noqa: F401
 from repro.utils.validation import ensure_integer
 
@@ -108,8 +107,8 @@ def _faulted_job(kind: str, delay_s: float, fn: Callable, *args):
     The fault *decision* is made in the parent (:func:`_submit_job`) so the
     schedule is deterministic regardless of which worker picks the job up;
     only the *effect* executes here.  ``worker_crash`` hard-exits the worker
-    (the parent sees ``BrokenProcessPool``); ``slow_shard`` sleeps long
-    enough to trip a shard timeout, then runs the job normally.
+    (the parent sees ``BrokenProcessPool``); ``slow_shard`` sleeps for the
+    planned delay, then runs the job normally.
     """
     if kind == "worker_crash":
         os._exit(66)
@@ -126,13 +125,6 @@ def _submit_job(pool: ProcessPoolExecutor, fn: Callable, args: tuple):
     return pool.submit(fn, *args)
 
 
-def _collect(future, deadline: float | None):
-    """``future.result()`` bounded by an absolute monotonic deadline."""
-    if deadline is None:
-        return future.result()
-    return future.result(timeout=max(0.0, deadline - time.monotonic()))
-
-
 class ExecutionFabric:
     """A persistent worker pool plus dispatch bookkeeping.
 
@@ -143,8 +135,7 @@ class ExecutionFabric:
         ``max(max_workers, min_workers)`` workers; a later request for
         more workers than the live pool holds recreates it wider (counted
         in ``pools_created``).  This is a sizing default, not a resource
-        cap — to bound how many jobs run concurrently, pass
-        ``max_parallel`` to :meth:`map_jobs`.
+        cap.
     """
 
     def __init__(self, *, max_workers: int | None = None) -> None:
@@ -156,7 +147,6 @@ class ExecutionFabric:
         self.pools_created = 0
         self.jobs_dispatched = 0
         self.pool_rebuilds = 0
-        self.shard_timeouts = 0
         self.serial_fallbacks = 0
         # > 0 while one or more map_jobs calls are inside the rebuild
         # retry loop; the serve layer reports "degraded" health then.
@@ -202,9 +192,7 @@ class ExecutionFabric:
             return self._executor
 
     def map_jobs(self, fn: Callable, jobs: Sequence[tuple], *,
-                 min_workers: int = 1, max_parallel: int | None = None,
-                 job_timeout_s: float | None = None,
-                 fallback_serial: bool = False) -> list:
+                 min_workers: int = 1, fallback_serial: bool = False) -> list:
         """Run ``fn(*args)`` for every argument tuple, preserving job order.
 
         This is the shard scheduler: each tuple in ``jobs`` is one
@@ -219,29 +207,16 @@ class ExecutionFabric:
         rebuild lets the error escape; rebuilds are counted in
         ``pool_rebuilds`` (reported by :func:`fabric_stats`).
 
-        ``job_timeout_s`` bounds the wall clock of the *whole batch*: when
-        the deadline passes with shards still outstanding (a hung worker —
-        deadlocked import, runaway job), the pool's processes are killed
-        outright (``shard_timeouts`` counts it) and the batch retried on a
-        fresh pool through the same rebuild loop.  ``fallback_serial``
-        opts into the documented degradation path: when every rebuild
-        attempt is exhausted, run the batch serially in-process
-        (``serial_fallbacks`` counts it) instead of raising — slower, but
-        an answer.  It stays opt-in because a job that deterministically
-        kills its worker would kill the caller's process if run in-process.
-
-        ``max_parallel`` bounds how many jobs are outstanding at once (a
-        sliding window over the shared pool), for callers that use the
-        parallelism knob to limit memory/CPU rather than pool width.
+        ``fallback_serial`` opts into the documented degradation path:
+        when every rebuild attempt is exhausted, run the batch serially
+        in-process (``serial_fallbacks`` counts it) instead of raising —
+        slower, but an answer.  It stays opt-in because a job that
+        deterministically kills its worker would kill the caller's process
+        if run in-process.
         """
         jobs = list(jobs)
         if not jobs:
             return []
-        if max_parallel is not None:
-            max_parallel = ensure_integer(max_parallel, "max_parallel", minimum=1)
-        if job_timeout_s is not None and job_timeout_s <= 0:
-            raise ConfigurationError(
-                f"job_timeout_s must be positive, got {job_timeout_s}")
         last_error: BaseException | None = None
         rebuilding_marked = False
         try:
@@ -250,25 +225,11 @@ class ExecutionFabric:
                     time.sleep(POOL_REBUILD_BACKOFF_S * (2 ** (attempt - 1)))
                 try:
                     pool = self.executor(min_workers)
-                    deadline = (time.monotonic() + job_timeout_s
-                                if job_timeout_s is not None else None)
-                    if max_parallel is None or max_parallel >= len(jobs):
-                        futures = [_submit_job(pool, fn, args) for args in jobs]
-                        results = [_collect(future, deadline)
-                                   for future in futures]
-                    else:
-                        results = _map_windowed(pool, fn, jobs, max_parallel,
-                                                deadline)
+                    futures = [_submit_job(pool, fn, args) for args in jobs]
+                    results = [future.result() for future in futures]
                 except BrokenProcessPool as exc:
                     last_error = exc
                     self.shutdown()
-                except FuturesTimeoutError as exc:
-                    last_error = exc
-                    with self._lock:
-                        self.shard_timeouts += 1
-                    # shutdown(wait=True) would block on the hung worker;
-                    # kill the processes instead.
-                    self._terminate_pool()
                 else:
                     with self._lock:
                         self.jobs_dispatched += len(jobs)
@@ -299,26 +260,6 @@ class ExecutionFabric:
                 self._executor = None
                 self._active_width = 0
 
-    def _terminate_pool(self) -> None:
-        """Kill the pool's worker processes outright (hung-shard path).
-
-        :meth:`shutdown` waits for in-flight jobs; a shard that tripped
-        ``job_timeout_s`` by definition will not finish, so the workers are
-        terminated and the executor discarded without waiting.
-        """
-        with self._lock:
-            executor = self._executor
-            self._executor = None
-            self._active_width = 0
-        if executor is None:
-            return
-        for process in list((getattr(executor, "_processes", None) or {}).values()):
-            try:
-                process.terminate()
-            except (OSError, AttributeError):  # pragma: no cover - racing exit
-                pass
-        executor.shutdown(wait=False, cancel_futures=True)
-
     def stats(self) -> dict:
         """Pool lifecycle and dispatch counters (for benchmarks/tests)."""
         with self._lock:
@@ -327,32 +268,8 @@ class ExecutionFabric:
                     "pools_created": self.pools_created,
                     "jobs_dispatched": self.jobs_dispatched,
                     "pool_rebuilds": self.pool_rebuilds,
-                    "shard_timeouts": self.shard_timeouts,
                     "serial_fallbacks": self.serial_fallbacks,
                     "rebuilding": self._rebuilding_count > 0}
-
-
-def _map_windowed(pool: ProcessPoolExecutor, fn: Callable,
-                  jobs: list[tuple], width: int,
-                  deadline: float | None = None) -> list:
-    """Keep at most ``width`` jobs outstanding; return results in job order."""
-    results: list = [None] * len(jobs)
-    pending: dict = {}
-    next_index = 0
-    while pending or next_index < len(jobs):
-        while next_index < len(jobs) and len(pending) < width:
-            pending[_submit_job(pool, fn, jobs[next_index])] = next_index
-            next_index += 1
-        timeout = None
-        if deadline is not None:
-            timeout = max(0.0, deadline - time.monotonic())
-        done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
-        if not done and deadline is not None and time.monotonic() >= deadline:
-            raise FuturesTimeoutError(
-                f"{len(pending)} shard(s) still outstanding at deadline")
-        for future in done:
-            results[pending.pop(future)] = future.result()
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +407,7 @@ def fabric_stats() -> dict:
     pool = _FABRIC.stats() if _FABRIC is not None else {
         "active": False, "width": 0, "max_workers": DEFAULT_MAX_WORKERS,
         "pools_created": 0, "jobs_dispatched": 0, "pool_rebuilds": 0,
-        "shard_timeouts": 0, "serial_fallbacks": 0, "rebuilding": False}
+        "serial_fallbacks": 0, "rebuilding": False}
     cost_model = (_COST_MODEL.stats() if _COST_MODEL is not None
                   else CostModel().stats())
     return {"pool": pool, "plan_caches": plan_cache_stats(),

@@ -62,7 +62,7 @@ from repro.constants import PREAMBLE_UPCHIRPS, THERMAL_NOISE_DBM_PER_HZ
 from repro.core.config import SaiyanConfig, SaiyanMode
 from repro.dsp.chirp import lora_downchirp
 from repro.dsp.filters import (
-    apply_fir_stack,
+    apply_fir_stack,  # noqa: F401 - unused; perfbench's tracer looks it up here
     apply_fir_stack_fast,
     apply_fir_stack_gapped,
     apply_frequency_gain_stack,
@@ -93,15 +93,6 @@ RECEIVER_KINDS: tuple[str, ...] = ("saiyan", "standard_lora", "plora", "aloba", 
 #: Numeric precisions of the burst kernel.  ``"reference"`` (float64) is the
 #: bit-parity path; ``"fast"`` (complex64/float32) is tolerance-gated.
 PRECISIONS: tuple[str, ...] = ("reference", "fast")
-
-#: Stacking modes of the burst kernel.  ``"fused"`` (default) stages every
-#: cell's bursts of a chunk into preallocated structure-of-arrays workspaces
-#: and runs one merged front-end pass; ``"chunked"`` is the previous
-#: vstack-per-group path.  Both are bit-identical (same draws, same floats).
-STACKINGS: tuple[str, ...] = ("fused", "chunked")
-
-#: Upper bound on the rows of one stacked front-end evaluation (memory cap).
-_MAX_STACK_ROWS: int = 256
 
 #: Byte budget of one fused mega-batch chunk, counting the staged complex
 #: rows, the gapped FIR buffers and the front end's FFT temporaries
@@ -152,29 +143,6 @@ def _draw_noisy_burst(rng: np.random.Generator, table: np.ndarray, alphabet: int
     # In-place add into the freshly drawn noise buffer: same floats as
     # ``row + noise`` without a third full-row allocation on the hot path.
     np.add(row, noisy, out=noisy)
-    return tx, noisy
-
-
-def _draw_noisy_burst_fast(rng: np.random.Generator, table32: np.ndarray,
-                           alphabet: int, burst: int,
-                           snr_db: float) -> tuple[np.ndarray, np.ndarray]:
-    """Single-precision staging twin of :func:`_draw_noisy_burst`.
-
-    Consumes the *identical* RNG stream (same calls, same sizes, float64
-    draws) so a fast sweep walks the same substreams as the reference
-    sweep, but gathers the symbol waveforms from a complex64 table and
-    assembles the noisy row in single precision.  Values therefore differ
-    from the reference rows at the float32 rounding level — this helper is
-    tolerance-gated and must never back a bit-parity path.
-    """
-    tx = rng.integers(0, alphabet, size=burst)
-    row = table32[tx].reshape(-1)
-    signal_power = float(np.mean(np.abs(row) ** 2))
-    noise_power = float(signal_power / db_to_linear(snr_db))
-    noise = awgn_samples(row.size, noise_power, complex_valued=True,
-                         random_state=rng)
-    noisy = noise.astype(np.complex64)
-    noisy += row
     return tx, noisy
 
 
@@ -443,26 +411,6 @@ class SaiyanBurstKernel:
             self._fast_length_cache[length] = cached
         return cached
 
-    def _envelopes(self, noisy: np.ndarray, lna_noise: np.ndarray) -> np.ndarray:
-        """Run a ``(bursts, samples)`` stack through the analog front end."""
-        if self._fast:
-            return self._envelopes_fast(noisy, lna_noise)
-        length = noisy.shape[1]
-        gains, clk_in, clk_out = self._profiles(length)
-        after_saw = apply_frequency_gain_stack(noisy, gains)
-        after_lna = after_saw * self._lna_amplitude_gain + lna_noise
-        if self._uses_frequency_shift:
-            composite = after_lna * (self._feedthrough + clk_in)[None, :]
-            detected = (self._conversion_gain * np.abs(composite) ** 2).astype(float)
-            if_signal = apply_fir_stack(detected, self._bp_taps) * self._if_gain
-            back = (if_signal * clk_out[None, :]) * self._mix_loss
-            envelopes = back if self._lp_transparent else apply_fir_stack(back, self._lp_taps)
-        else:
-            detected = (self._conversion_gain * np.abs(after_lna) ** 2).astype(float)
-            envelopes = (detected if self._lp_transparent
-                         else apply_fir_stack(detected, self._lp_taps))
-        return np.maximum(envelopes, 0.0)
-
     def _envelopes_fast(self, noisy: np.ndarray, lna_noise: np.ndarray) -> np.ndarray:
         """Single-precision front end: same chain, complex64/float32 math.
 
@@ -586,13 +534,15 @@ class SaiyanBurstKernel:
     def _frontend_fused(self, ws: dict, length: int) -> np.ndarray:
         """Reference front end over the staged workspace, in place.
 
-        Computes exactly the floats of :meth:`_envelopes` on the staged
+        Runs the serial pipeline's float64 chain on the staged
         ``signal``/``lna`` stacks: the FFT/elementwise/FIR stages all apply
         per row, in-place elementwise chains equal their out-of-place
         spellings bit for bit, scalar multiplies commute, and
         :func:`~repro.dsp.filters.apply_fir_stack_gapped` repairs the flat
-        convolution back to ``lfilter``'s bits.  Only the allocation
-        pattern differs from the chunked path — never a value.
+        convolution back to the bits of the ``lfilter`` reference
+        (:func:`~repro.dsp.filters.apply_fir_stack`).  The decided counters
+        equal the serial ``measure_symbol_errors`` bit for bit
+        (``tests/sim/test_mega_batch.py``).
         """
         gains, clk_in, clk_out = self._profiles(length)
         after_saw = apply_frequency_gain_stack(ws["signal"], gains)
@@ -638,8 +588,8 @@ class SaiyanBurstKernel:
         ``CorrelationDemodulator.demodulate`` (batched row-mean centring,
         then a per-window norm + template matvec — the GEMM/norm-axis
         batching stays on the tolerance-gated fast path only), skipping the
-        per-row ``Signal`` wrapper the chunked path pays.  Other modes fall
-        back to the shared ``decide_envelope`` entry point per row.
+        per-row ``Signal`` wrapper.  Other modes fall back to the shared
+        ``decide_envelope`` entry point per row.
         """
         if not self._fast and self.config.mode.uses_correlation:
             correlator = self.demodulator.correlator
@@ -673,42 +623,6 @@ class SaiyanBurstKernel:
             symbol_errors[owner] += int(np.sum(decided != tx))
             bit_errors[owner] += count_bit_errors(tx, decided,
                                                   self._bits_per_symbol)
-
-    def _measure_cells_fused(self, snrs_db: Sequence[float],
-                             streams: Sequence[RandomState], plan: list[int],
-                             symbol_errors: list[int],
-                             bit_errors: list[int]) -> None:
-        """Fused mega-batch evaluation: stage straight into workspaces.
-
-        Per chunk of cells, every burst row is drawn directly into the
-        preallocated stack (channel + LNA noise merged into one generator
-        block per burst via :func:`~repro.dsp.noise.awgn_sample_pairs` —
-        bit-identical to the two sequential draws), then each burst-length
-        group runs one front-end pass and one decision sweep.  Cells draw
-        from independent substreams in plan order, exactly like the chunked
-        path, so the staging cannot change a single draw.
-        """
-        per_cell_bytes = sum(burst * self._sps * 80 for burst in plan)
-        cells_per_chunk = max(1, _MEGA_STACK_BYTES // max(per_cell_bytes, 1))
-        for chunk_start in range(0, len(snrs_db), cells_per_chunk):
-            chunk = range(chunk_start,
-                          min(chunk_start + cells_per_chunk, len(snrs_db)))
-            counts: dict[int, int] = {}
-            for burst in plan:
-                counts[burst] = counts.get(burst, 0) + 1
-            groups = {burst: (self._stack_workspace(count * len(chunk),
-                                                    burst * self._sps),
-                              [], [])
-                      for burst, count in counts.items()}
-            try:
-                self._measure_chunk_fused(chunk, groups, plan, snrs_db,
-                                          streams, symbol_errors, bit_errors)
-            finally:
-                # Hand every exclusive borrow back even if a cell raises,
-                # so the buffers stay warm for the next chunk/sweep.
-                for burst, (ws, _, _) in groups.items():
-                    self._release_workspace(counts[burst] * len(chunk),
-                                            burst * self._sps, ws)
 
     def _measure_chunk_fused(self, chunk: range, groups: dict, plan: list[int],
                              snrs_db: Sequence[float],
@@ -765,8 +679,7 @@ class SaiyanBurstKernel:
     # ------------------------------------------------------------------
     def measure_cells(self, snrs_db: Sequence[float],
                       streams: Sequence[RandomState], *, num_symbols: int = 64,
-                      symbols_per_burst: int = 16,
-                      stacking: str = "fused") -> list[WaveformBerPoint]:
+                      symbols_per_burst: int = 16) -> list[WaveformBerPoint]:
         """Measure many SNR cells at once, stacking their bursts.
 
         Each cell draws from its own generator in the exact serial order
@@ -775,94 +688,42 @@ class SaiyanBurstKernel:
         front end as one stack.  Cells are RNG-independent, so stacking
         across them cannot change any draw.
 
-        ``stacking="fused"`` (default) stages rows directly into the
-        preallocated mega-batch workspaces; ``"chunked"`` keeps the
-        previous vstack-per-group staging.  Both produce bit-identical
-        counters.
+        Per chunk of cells, every burst row is drawn directly into the
+        preallocated structure-of-arrays workspaces (channel + LNA noise
+        merged into one generator block per burst via
+        :func:`~repro.dsp.noise.awgn_sample_pairs` — bit-identical to the
+        two sequential draws), then each burst-length group runs one
+        front-end pass and one decision sweep.
         """
         num_symbols = ensure_integer(num_symbols, "num_symbols", minimum=1)
         symbols_per_burst = ensure_integer(symbols_per_burst, "symbols_per_burst",
                                            minimum=1)
-        if stacking not in STACKINGS:
-            raise ConfigurationError(
-                f"unknown stacking {stacking!r}; expected one of {STACKINGS}")
         if len(snrs_db) != len(streams):
             raise ConfigurationError("snrs_db and streams lengths differ")
         plan = self._burst_plan(num_symbols, symbols_per_burst)
-        if stacking == "fused":
-            symbol_errors = [0] * len(snrs_db)
-            bit_errors = [0] * len(snrs_db)
-            self._measure_cells_fused(snrs_db, streams, plan,
-                                      symbol_errors, bit_errors)
-            return [WaveformBerPoint(snr_db=float(snr_db), symbols=num_symbols,
-                                     symbol_errors=symbol_errors[i],
-                                     bits=num_symbols * self._bits_per_symbol,
-                                     bit_errors=bit_errors[i])
-                    for i, snr_db in enumerate(snrs_db)]
-        # Bound staged waveform memory: process whole cells in chunks whose
-        # total burst count stays near _MAX_STACK_ROWS.  Cells draw from
-        # independent substreams and rows are processed independently, so
-        # the chunking cannot change a single draw or float.
-        cells_per_chunk = max(1, _MAX_STACK_ROWS // len(plan))
         symbol_errors = [0] * len(snrs_db)
         bit_errors = [0] * len(snrs_db)
+        counts: dict[int, int] = {}
+        for burst in plan:
+            counts[burst] = counts.get(burst, 0) + 1
+        per_cell_bytes = sum(burst * self._sps * 80 for burst in plan)
+        cells_per_chunk = max(1, _MEGA_STACK_BYTES // max(per_cell_bytes, 1))
         for chunk_start in range(0, len(snrs_db), cells_per_chunk):
             chunk = range(chunk_start,
                           min(chunk_start + cells_per_chunk, len(snrs_db)))
-            # burst size -> (owning cell per row, tx symbols, noisy, LNA rows)
-            groups: dict[int, tuple[list[int], list[np.ndarray],
-                                    list[np.ndarray], list[np.ndarray]]] = {}
-            for cell_index in chunk:
-                rng = as_rng(streams[cell_index])
-                snr_db = snrs_db[cell_index]
-                for burst in plan:
-                    if self._fast:
-                        # Same RNG calls in the same order as the reference
-                        # path, staged in single precision (tolerance-gated).
-                        tx, noisy = _draw_noisy_burst_fast(
-                            rng, self._table32, self._alphabet, burst, snr_db)
-                        lna_noise = awgn_samples(
-                            noisy.size, self._lna_noise_power, complex_valued=True,
-                            random_state=rng).astype(np.complex64)
-                    else:
-                        tx, noisy = _draw_noisy_burst(rng, self._table,
-                                                      self._alphabet, burst, snr_db)
-                        lna_noise = awgn_samples(noisy.size, self._lna_noise_power,
-                                                 complex_valued=True,
-                                                 random_state=rng)
-                    owners, tx_list, noisy_list, lna_list = groups.setdefault(
-                        burst, ([], [], [], []))
-                    owners.append(cell_index)
-                    tx_list.append(tx)
-                    noisy_list.append(noisy)
-                    lna_list.append(lna_noise)
-            for burst, (owners, tx_list, noisy_list, lna_list) in groups.items():
-                for start in range(0, len(owners), _MAX_STACK_ROWS):
-                    stop = start + _MAX_STACK_ROWS
-                    envelopes = self._envelopes(np.vstack(noisy_list[start:stop]),
-                                                np.vstack(lna_list[start:stop]))
-                    if self._fast and self.config.mode.uses_correlation:
-                        # Tolerance-gated fast path: one GEMM decides every
-                        # window of the whole stack at once.
-                        decided_rows = self._decide_correlation_stack(envelopes, burst)
-                        for owner, tx, decided in zip(owners[start:stop],
-                                                      tx_list[start:stop],
-                                                      decided_rows):
-                            symbol_errors[owner] += int(np.sum(decided != tx))
-                            bit_errors[owner] += count_bit_errors(
-                                tx, decided, self._bits_per_symbol)
-                        continue
-                    for owner, tx, envelope in zip(owners[start:stop],
-                                                   tx_list[start:stop], envelopes):
-                        if self._fast:
-                            # Comparator/peak decisions run per window on the
-                            # float64 grid the quantizer expects.
-                            envelope = np.asarray(envelope, dtype=float)
-                        signal = Signal(envelope, self._fs)
-                        decided, _ = self.demodulator.decide_envelope(signal, burst)
-                        symbol_errors[owner] += int(np.sum(decided != tx))
-                        bit_errors[owner] += count_bit_errors(
-                            tx, decided, self._bits_per_symbol)
+            groups = {burst: (self._stack_workspace(count * len(chunk),
+                                                    burst * self._sps),
+                              [], [])
+                      for burst, count in counts.items()}
+            try:
+                self._measure_chunk_fused(chunk, groups, plan, snrs_db,
+                                          streams, symbol_errors, bit_errors)
+            finally:
+                # Hand every exclusive borrow back even if a cell raises,
+                # so the buffers stay warm for the next chunk/sweep.
+                for burst, (ws, _, _) in groups.items():
+                    self._release_workspace(counts[burst] * len(chunk),
+                                            burst * self._sps, ws)
         return [WaveformBerPoint(snr_db=float(snr_db), symbols=num_symbols,
                                  symbol_errors=symbol_errors[i],
                                  bits=num_symbols * self._bits_per_symbol,
@@ -871,13 +732,11 @@ class SaiyanBurstKernel:
 
     def measure(self, snr_db: float, *, num_symbols: int = 64,
                 symbols_per_burst: int = 16,
-                random_state: RandomState = None,
-                stacking: str = "fused") -> WaveformBerPoint:
+                random_state: RandomState = None) -> WaveformBerPoint:
         """Vectorized counterpart of :func:`~repro.sim.waveform_ber.measure_symbol_errors`."""
         return self.measure_cells([float(snr_db)], [random_state],
                                   num_symbols=num_symbols,
-                                  symbols_per_burst=symbols_per_burst,
-                                  stacking=stacking)[0]
+                                  symbols_per_burst=symbols_per_burst)[0]
 
 
 # ---------------------------------------------------------------------------

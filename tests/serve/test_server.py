@@ -269,6 +269,40 @@ def test_http_no_wait_returns_202_then_completes(http_server):
     assert client.status(reply["digest"])["status"] == "done"
 
 
+def test_http_keep_alive_replies_are_not_delayed_by_nagle(http_server, monkeypatch):
+    # Headers and body leave in two sends; with Nagle on, every reply on a
+    # kept-alive connection waits out the client's delayed ACK (~40 ms).
+    import http.client
+    import socket
+    from urllib.parse import urlsplit
+
+    nodelay: list[int] = []
+    setup = server_mod._ServeHandler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        nodelay.append(handler.connection.getsockopt(socket.IPPROTO_TCP,
+                                                     socket.TCP_NODELAY))
+
+    monkeypatch.setattr(server_mod._ServeHandler, "setup", recording_setup)
+    client, _ = http_server
+    address = urlsplit(client.base_url)
+    connection = http.client.HTTPConnection(address.hostname, address.port,
+                                            timeout=10)
+    try:
+        started = time.perf_counter()
+        for _ in range(10):
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())
+        elapsed = time.perf_counter() - started
+    finally:
+        connection.close()
+    assert len(nodelay) == 1 and nodelay[0] != 0  # one kept-alive socket
+    assert elapsed < 0.3, f"10 kept-alive /healthz took {elapsed:.3f} s"
+
+
 # ---------------------------------------------------------------------------
 # Admission control, watchdog deadlines, fault injection
 # ---------------------------------------------------------------------------

@@ -294,24 +294,28 @@ def test_batch_runner_custom_drivers():
     assert report.manifests["custom"].title == "custom"
 
 
-def test_batch_runner_rejects_unknown_artefacts_and_bad_processes():
+def test_batch_runner_rejects_unknown_artefacts_and_seeded_parallel():
     runner = BatchRunner()
     with pytest.raises(ConfigurationError):
         runner.run(["nope"])
     with pytest.raises(ConfigurationError):
-        BatchRunner(processes=0)
+        runner.run(["fig16"], parallel=True, random_state=1)
 
 
 def test_batch_runner_parallel_requires_registry_drivers():
-    runner = BatchRunner({"custom": lambda: SweepResult(title="x")}, processes=2)
+    from repro.sim.experiments import FIGURE_DRIVERS
+
+    # One custom driver among registry ones is enough to refuse the fan-out.
+    runner = BatchRunner({"fig16": FIGURE_DRIVERS["fig16"],
+                          "custom": lambda: SweepResult(title="x")})
     with pytest.raises(ConfigurationError):
-        runner.run()
+        runner.run(parallel=True)
 
 
 def test_batch_runner_parallel_matches_serial():
     artefacts = ["fig16", "fig22"]
     serial = BatchRunner().run(artefacts)
-    parallel = BatchRunner(processes=2).run(artefacts)
+    parallel = BatchRunner().run(artefacts, parallel=True)
     for artefact in artefacts:
         assert (parallel.results[artefact].scalars
                 == serial.results[artefact].scalars)
@@ -319,25 +323,26 @@ def test_batch_runner_parallel_matches_serial():
                 == serial.results[artefact].series_names)
 
 
-def test_batch_runner_parallel_full_registry_matches_serial_manifests():
-    """run(parallel=True) over the whole registry: identical artefact
-    results and identical RunManifest JSON, modulo wall-clock fields."""
+def test_batch_runner_parallel_full_registry_matches_serial_manifests(monkeypatch):
+    """run(parallel=True) over the whole registry, under 1, 2 and 8 usable
+    cores: byte-identical artefact payloads and identical RunManifest JSON,
+    modulo wall-clock fields."""
+    from repro.sim import execution
+
     serial = BatchRunner().run()
-    parallel = BatchRunner().run(parallel=True)
-    assert set(serial.manifests) == set(parallel.manifests)
-    for artefact in serial.manifests:
-        serial_manifest = serial.manifests[artefact].to_dict()
-        parallel_manifest = parallel.manifests[artefact].to_dict()
-        assert serial_manifest.pop("wall_clock_s") > 0
-        assert parallel_manifest.pop("wall_clock_s") > 0
-        assert serial_manifest == parallel_manifest, artefact
-        assert (serial.results[artefact].scalars
-                == parallel.results[artefact].scalars), artefact
-        for serial_series, parallel_series in zip(
-                serial.results[artefact].series,
-                parallel.results[artefact].series):
-            assert serial_series.name == parallel_series.name
-            assert np.array_equal(serial_series.y, parallel_series.y), artefact
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(execution, "usable_cores", lambda cores=cores: cores)
+        parallel = BatchRunner().run(parallel=True)
+        assert set(serial.manifests) == set(parallel.manifests), cores
+        for artefact in serial.manifests:
+            serial_manifest = serial.manifests[artefact].to_dict()
+            parallel_manifest = parallel.manifests[artefact].to_dict()
+            assert serial_manifest.pop("wall_clock_s") > 0
+            assert parallel_manifest.pop("wall_clock_s") > 0
+            assert serial_manifest == parallel_manifest, (cores, artefact)
+            assert (json.dumps(serial.results[artefact].to_dict(), sort_keys=True)
+                    == json.dumps(parallel.results[artefact].to_dict(),
+                                  sort_keys=True)), (cores, artefact)
 
 
 def test_batch_runner_parallel_goes_through_the_fabric(monkeypatch):

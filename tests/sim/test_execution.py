@@ -14,8 +14,6 @@ import os
 import numpy as np
 import pytest
 
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-
 from repro import faults
 from repro.dsp.filters import FIR_PLAN_CACHE, fir_lowpass
 from repro.exceptions import ConfigurationError
@@ -261,19 +259,6 @@ def test_fabric_stats_report_pool_rebuilds_by_default():
     assert fabric.stats()["pool_rebuilds"] == 0
 
 
-def test_fabric_max_parallel_window_preserves_order():
-    fabric = ExecutionFabric(max_workers=2)
-    try:
-        results = fabric.map_jobs(_job_pid, [(i,) for i in range(6)],
-                                  max_parallel=1)
-        assert [tag for tag, _ in results] == list(range(6))
-        assert fabric.jobs_dispatched == 6
-        with pytest.raises(ConfigurationError):
-            fabric.map_jobs(_job_pid, [("x",)], max_parallel=0)
-    finally:
-        fabric.shutdown()
-
-
 def test_get_fabric_returns_process_singleton():
     assert get_fabric() is get_fabric()
     assert get_fabric().max_workers == DEFAULT_MAX_WORKERS
@@ -289,49 +274,14 @@ def test_fabric_stats_shape():
 
 
 # ---------------------------------------------------------------------------
-# Deadlines, fault injection, graceful degradation
+# Fault injection and graceful degradation
 # ---------------------------------------------------------------------------
-
-def _napping_job(seconds):
-    import time
-
-    time.sleep(seconds)
-    return "overslept"
-
 
 @pytest.fixture(autouse=True)
 def _no_fault_plan():
     faults.clear()
     yield
     faults.clear()
-
-
-def test_map_jobs_rejects_nonpositive_deadline():
-    fabric = ExecutionFabric(max_workers=1)
-    try:
-        with pytest.raises(ConfigurationError):
-            fabric.map_jobs(_job_pid, [("a",)], job_timeout_s=0.0)
-    finally:
-        fabric.shutdown()
-
-
-def test_map_jobs_deadline_kills_hung_shards_then_raises(monkeypatch):
-    from repro.sim import execution
-
-    monkeypatch.setattr(execution, "POOL_REBUILD_BACKOFF_S", 0.0)
-    fabric = ExecutionFabric(max_workers=1)
-    try:
-        with pytest.raises(FuturesTimeoutError):
-            fabric.map_jobs(_napping_job, [(30.0,)], job_timeout_s=0.2)
-        stats = fabric.stats()
-        # one timeout per attempt, one rebuild between attempts
-        assert stats["shard_timeouts"] == POOL_REBUILD_LIMIT + 1
-        assert stats["pool_rebuilds"] == POOL_REBUILD_LIMIT
-        assert stats["rebuilding"] is False
-        # the fabric stays usable afterwards: fresh pool, healthy batch
-        assert fabric.map_jobs(_job_pid, [("ok",)])[0][0] == "ok"
-    finally:
-        fabric.shutdown()
 
 
 def test_injected_worker_crash_is_absorbed_by_the_rebuild_loop(monkeypatch):
@@ -360,7 +310,6 @@ def test_injected_slow_shard_delays_without_corrupting_results():
         with faults.inject(plan):
             results = fabric.map_jobs(_job_pid, [("a",), ("b",)])
         assert [tag for tag, _ in results] == ["a", "b"]
-        assert fabric.stats()["shard_timeouts"] == 0
         assert plan.fault_kinds_fired() == ("slow_shard",)
     finally:
         fabric.shutdown()

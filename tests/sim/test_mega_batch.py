@@ -2,9 +2,9 @@
 
 The fused staging path puts every cell's bursts through one
 structure-of-arrays front-end pass.  Its entire contract is "bit-identical
-to everything else": the chunked staging it replaced, the serial
-reference loop, and any shard count — including the cost-model-resolved
-``shards="auto"`` route.
+to everything else": the serial reference loop
+(:func:`~repro.sim.waveform_ber.measure_symbol_errors`) and any shard
+count — including the ``shards="auto"`` route.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.core.config import SaiyanConfig, SaiyanMode
 from repro.exceptions import ConfigurationError
 from repro.sim.waveform_ber import measure_symbol_errors
 from repro.sim.waveform_engine import (
-    STACKINGS,
     WAVEFORM_SWEEPS,
     ReceiverSpec,
     SaiyanBurstKernel,
@@ -28,76 +27,48 @@ from repro.sim.waveform_engine import (
 SNRS = (-10.0, -2.0, 4.0)
 
 
-def _counts(points):
-    return [(p.symbol_errors, p.bit_errors) for p in points]
-
-
-def _measure(kernel, stacking, *, num_symbols=16, symbols_per_burst=16,
-             seed=23, snrs=SNRS):
+def _fused(kernel, *, num_symbols=16, symbols_per_burst=16, seed=23,
+           snrs=SNRS):
     streams = np.random.default_rng(seed).spawn(len(snrs))
     return kernel.measure_cells(snrs, streams, num_symbols=num_symbols,
-                                symbols_per_burst=symbols_per_burst,
-                                stacking=stacking)
+                                symbols_per_burst=symbols_per_burst)
+
+
+def _serial(config, *, num_symbols=16, symbols_per_burst=16, seed=23,
+            snrs=SNRS):
+    streams = np.random.default_rng(seed).spawn(len(snrs))
+    return [measure_symbol_errors(config, snr, num_symbols=num_symbols,
+                                  symbols_per_burst=symbols_per_burst,
+                                  random_state=stream)
+            for snr, stream in zip(snrs, streams)]
 
 
 # ---------------------------------------------------------------------------
-# Fused == chunked == serial, bit for bit
+# Fused == serial, bit for bit
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("mode", list(SaiyanMode))
-def test_fused_matches_chunked_every_mode(mode, downlink):
-    kernel = SaiyanBurstKernel(SaiyanConfig(downlink=downlink, mode=mode))
-    fused = _measure(kernel, "fused")
-    chunked = _measure(kernel, "chunked")
-    assert fused == chunked
-
 
 @pytest.mark.parametrize("mode", list(SaiyanMode))
 def test_fused_matches_serial_reference(mode, downlink):
     config = SaiyanConfig(downlink=downlink, mode=mode)
     kernel = SaiyanBurstKernel(config)
-    fused = _measure(kernel, "fused", seed=7)
-    streams = np.random.default_rng(7).spawn(len(SNRS))
-    serial = [measure_symbol_errors(config, snr, num_symbols=16,
-                                    symbols_per_burst=16, random_state=stream)
-              for snr, stream in zip(SNRS, streams)]
-    assert fused == serial
+    assert _fused(kernel, seed=7) == _serial(config, seed=7)
 
 
-def test_fused_matches_chunked_multi_burst_plan(saiyan_config):
+def test_fused_matches_serial_multi_burst_plan(saiyan_config):
     # 40 symbols at 16 per burst: two full bursts plus an 8-symbol tail,
     # so the fused staging must handle two different row lengths per cell.
     kernel = SaiyanBurstKernel(saiyan_config)
-    fused = _measure(kernel, "fused", num_symbols=40, symbols_per_burst=16)
-    chunked = _measure(kernel, "chunked", num_symbols=40, symbols_per_burst=16)
-    assert fused == chunked
+    fused = _fused(kernel, num_symbols=40, symbols_per_burst=16)
+    serial = _serial(saiyan_config, num_symbols=40, symbols_per_burst=16)
+    assert fused == serial
 
 
-def test_fused_matches_chunked_fast_precision(saiyan_config):
-    kernel = SaiyanBurstKernel(saiyan_config, precision="fast")
-    fused = _measure(kernel, "fused")
-    chunked = _measure(kernel, "chunked")
-    assert fused == chunked
-
-
-def test_fused_is_the_default_and_stacking_is_validated(saiyan_config):
-    kernel = SaiyanBurstKernel(saiyan_config)
-    streams = np.random.default_rng(3).spawn(1)
-    default = kernel.measure_cells([-4.0], streams, num_symbols=8)
-    explicit = _measure(kernel, "fused", num_symbols=8, seed=3, snrs=[-4.0])
-    assert default == explicit
-    assert set(STACKINGS) == {"fused", "chunked"}
-    with pytest.raises(ConfigurationError):
-        kernel.measure_cells([-4.0], streams, num_symbols=8,
-                             stacking="interleaved")
-
-
-def test_single_cell_measure_passes_stacking_through(saiyan_config):
+def test_single_cell_measure_matches_serial(saiyan_config):
     kernel = SaiyanBurstKernel(saiyan_config)
     fused = kernel.measure(-4.0, num_symbols=12, random_state=41)
-    chunked = kernel.measure(-4.0, num_symbols=12, random_state=41,
-                             stacking="chunked")
-    assert fused == chunked
+    serial = measure_symbol_errors(saiyan_config, -4.0, num_symbols=12,
+                                   symbols_per_burst=16, random_state=41)
+    assert fused == serial
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for the scenario-driven multi-tag network engine."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -187,16 +189,23 @@ def test_duplicate_tag_ids_rejected():
 # Scenario grids on the execution fabric
 # ---------------------------------------------------------------------------
 
-def test_scenario_grid_parallel_matches_serial():
+def test_scenario_grid_parallel_matches_serial(monkeypatch):
+    """The parallel grid under 1, 2 and 8 usable cores is byte-identical to
+    the in-process grid, scenario by scenario."""
+    from repro.sim import execution
     from repro.sim.network_engine import run_scenario_grid
     from repro.sim.scenario import scenario_names
 
-    parallel = run_scenario_grid(parallel=True)
     serial = run_scenario_grid(parallel=False)
-    assert list(parallel) == list(serial) == scenario_names()
-    for name in parallel:
-        assert (parallel[name].comparison_key()
-                == serial[name].comparison_key()), name
+    assert list(serial) == scenario_names()
+    for cores in (1, 2, 8):
+        monkeypatch.setattr(execution, "usable_cores", lambda cores=cores: cores)
+        parallel = run_scenario_grid(parallel=True)
+        assert list(parallel) == list(serial), cores
+        for name in parallel:
+            assert (json.dumps(parallel[name].to_dict(), sort_keys=True)
+                    == json.dumps(serial[name].to_dict(), sort_keys=True)), \
+                (cores, name)
 
 
 def test_scenario_grid_matches_individual_runs_with_shared_seed():

@@ -380,8 +380,14 @@ def test_fast_precision_envelopes_close_to_reference(saiyan_config):
     shape = (4, 4 * reference_kernel._sps)
     noisy = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 1e-4
     lna = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 1e-6
-    reference = reference_kernel._envelopes(noisy, lna)
-    fast = fast_kernel._envelopes(noisy, lna)
+    ws = reference_kernel._stack_workspace(*shape)
+    try:
+        ws["signal"][:] = noisy
+        ws["lna"][:] = lna
+        reference = reference_kernel._frontend_fused(ws, shape[1]).copy()
+    finally:
+        reference_kernel._release_workspace(*shape, ws)
+    fast = fast_kernel._envelopes_fast(noisy, lna)
     assert fast.dtype == np.float32
     scale = float(np.max(np.abs(reference)))
     assert float(np.max(np.abs(reference - fast))) <= 1e-4 * scale
