@@ -15,11 +15,11 @@ fix, a new paper artefact); commit the refreshed fixtures together with the
 change that caused them and say why in the commit message.
 
 ``--check`` regenerates nothing on disk: it re-runs every driver and
-compares against the committed fixtures with the *same* tolerance
-semantics as ``tests/sim/test_golden_figures.py`` (titles and series sets
-exact, values within 1e-9) — the CI golden-drift guard.  A byte diff
-would be wrong here: values are seed-deterministic per platform, but
-NumPy kernels may differ in the last ulps across versions.
+compares against the committed fixtures with ``repro reproduce``'s
+comparator, :func:`repro.report.reproduce.golden_drift` — the CI
+golden-drift guard.  A byte diff would be wrong here: values are
+seed-deterministic per platform, but NumPy kernels may differ in the last
+ulps across versions.
 ``--output-dir`` writes the fixtures somewhere else instead of
 ``tests/golden/``.
 """
@@ -31,56 +31,13 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.report.reproduce import TOLERANCE, golden_drift  # noqa: E402
 from repro.sim.experiments import run_all  # noqa: E402
-from repro.sim.metrics import SweepResult  # noqa: E402
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
-
-#: Same floor as tests/sim/test_golden_figures.py.
-TOLERANCE = 1e-9
-
-
-def _close(produced, committed) -> bool:
-    produced = np.asarray(produced, dtype=float)
-    committed = np.asarray(committed, dtype=float)
-    if produced.shape != committed.shape:
-        return False
-    with np.errstate(invalid="ignore"):
-        return bool(np.allclose(produced, committed, rtol=0.0,
-                                atol=TOLERANCE, equal_nan=True))
-
-
-def _drift(artefact: str, produced: SweepResult, path: Path) -> list[str]:
-    """Human-readable drift findings of one artefact vs its fixture."""
-    if not path.exists():
-        return [f"{artefact}: missing fixture {path}"]
-    committed = SweepResult.from_dict(json.loads(path.read_text()))
-    problems = []
-    if produced.title != committed.title:
-        problems.append(f"{artefact}: title {produced.title!r} != "
-                        f"{committed.title!r}")
-    if produced.series_names != committed.series_names:
-        problems.append(f"{artefact}: series {produced.series_names} != "
-                        f"{committed.series_names}")
-        return problems
-    for name in committed.series_names:
-        ours, theirs = produced.get_series(name), committed.get_series(name)
-        if not _close(ours.x, theirs.x) or not _close(ours.y, theirs.y):
-            problems.append(f"{artefact}/{name}: values drifted beyond "
-                            f"{TOLERANCE}")
-    if set(produced.scalars) != set(committed.scalars):
-        problems.append(f"{artefact}: scalar keys differ")
-    else:
-        for key, value in committed.scalars.items():
-            if not _close(produced.scalars[key], value):
-                problems.append(f"{artefact}: scalar {key!r} drifted beyond "
-                                f"{TOLERANCE}")
-    return problems
 
 
 def main(argv=None) -> int:
@@ -97,7 +54,8 @@ def main(argv=None) -> int:
     if args.check:
         problems: list[str] = []
         for artefact, result in sorted(results.items()):
-            problems.extend(_drift(artefact, result, GOLDEN_DIR / f"{artefact}.json"))
+            problems.extend(golden_drift(artefact, result,
+                                         GOLDEN_DIR / f"{artefact}.json"))
         stale = {path.stem for path in GOLDEN_DIR.glob("*.json")} - set(results)
         problems.extend(f"{name}: stale fixture with no driver" for name in sorted(stale))
         for problem in problems:

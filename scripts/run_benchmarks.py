@@ -63,8 +63,9 @@ single passes because its cold/warm timings are stateful.
   computation under the coalescing burst, and a deterministic rerun;
 * ``report`` — the store-backed report generator: a fresh store is
   populated through the incremental-evaluation machinery and the full
-  report is rendered twice, gated on byte-identical renders, at least
-  one artefact, and zero artefacts missing provenance.
+  report (markdown, HTML and ``EXPERIMENTS.md``) is rendered twice, gated
+  on byte-identical renders, at least one artefact, and zero artefacts
+  missing provenance.
 
 ``--smoke`` shrinks every workload for CI: the head-to-heads still assert
 engine equality and the ≥10x link-speedup gate still applies.  Wall-clock
@@ -771,8 +772,8 @@ def benchmark_report(*, smoke: bool) -> dict:
     renders the store-backed report twice and records the contract the
     schema gates when this section is present: at least one artefact
     rendered, zero artefacts missing provenance, and the two renders
-    byte-identical (the report is a pure function of the store — no
-    timestamps, no hostnames).
+    byte-identical in all three texts (the report is a pure function of
+    the store — no timestamps, no hostnames).
     """
     import shutil
     import tempfile
@@ -794,8 +795,8 @@ def benchmark_report(*, smoke: bool) -> dict:
             run_scenario_stored(SCENARIOS[name], store=store)
         first_s, first = _time(lambda: render_report(store))
         second_s, second = _time(lambda: render_report(store))
-        byte_reproducible = (first["markdown"] == second["markdown"]
-                             and first["html"] == second["html"])
+        byte_reproducible = all(first[text] == second[text] for text in
+                                ("markdown", "html", "experiments"))
         summary = first["summary"]
         print(f"  {summary['artefacts']} artefacts "
               f"({summary['figures']} figures, "

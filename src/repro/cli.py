@@ -42,10 +42,11 @@ Five subcommands cover the workflows a user reaches for most often::
         ``--dry-run`` prints the plan without computing anything.
 
     python -m repro report [--output-dir DIR] [--smoke] [--store-dir DIR]
-        Render every store-resident artefact, the benchmark gates and the
-        serve/chaos stats into one self-contained markdown + HTML report,
-        every number carrying store provenance.  ``--smoke`` exits
-        non-zero when any rendered artefact lacks provenance fields.
+        Render every store-resident artefact, the paper-vs-reproduction
+        claims, the benchmark gates and the serve/chaos stats into one
+        self-contained markdown + HTML report, every number carrying store
+        provenance, and write EXPERIMENTS.md next to it.  ``--smoke``
+        exits non-zero when any rendered artefact lacks provenance fields.
 
 Every subcommand accepts ``--seed`` and threads it into the engines, so two
 CLI runs with the same seed print the same numbers end to end (``power`` and
@@ -275,10 +276,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report = subparsers.add_parser(
         "report", help="render the store into one self-contained "
-                       "markdown + HTML report with per-artefact provenance")
+                       "markdown + HTML report with per-artefact provenance, "
+                       "plus EXPERIMENTS.md")
     report.add_argument("--output-dir", default="report", metavar="DIR",
-                        help="where report.md / report.html are written "
-                             "(default: ./report)")
+                        help="where report.md, report.html and EXPERIMENTS.md "
+                             "are written (default: ./report)")
     report.add_argument("--bench", default=None, metavar="FILE",
                         help="benchmark record to include (default: the "
                              "committed BENCH_batch.json)")

@@ -13,7 +13,8 @@ editing this package must not retire cached results.
   assert tolerance against the golden fixtures.
 * :mod:`repro.report.render` — ``repro report``: render figures, tables,
   benchmark gates and serve/chaos stats into one self-contained
-  markdown + HTML report, every number carrying store provenance.
+  markdown + HTML report, every number carrying store provenance, and the
+  paper claims of :mod:`repro.report.claims` into ``EXPERIMENTS.md``.
 """
 
 from repro.report.registry import REGISTRY_FILENAME, REGISTRY_SCHEMA, RunRegistry

@@ -1,7 +1,7 @@
 """Generated results report: every number straight from the store.
 
-``repro report`` renders one self-contained markdown + HTML report from
-three machine-readable sources and nothing else:
+``repro report`` renders one self-contained markdown + HTML report, plus
+``EXPERIMENTS.md``, from three machine-readable sources and nothing else:
 
 * the **result store** — figure/table artefacts and scenario runs are
   loaded from their content-addressed entry files (the same payloads a
@@ -10,6 +10,9 @@ three machine-readable sources and nothing else:
   says what exists, summarised per kind;
 * the committed **benchmark record** (``BENCH_batch.json``) — engine
   speedups, mega-batch/fabric/cost-model gates, serve and chaos stats.
+
+``EXPERIMENTS.md`` holds only the claims (:mod:`repro.report.claims`) and
+scenario tables, so its bytes do not depend on the rendering host.
 
 Provenance contract: every rendered artefact carries a footnote with its
 store digest, seed, driver/library code fingerprints and numpy/python
@@ -29,8 +32,12 @@ from __future__ import annotations
 
 import html as _html_escape
 import json
+import re
 from pathlib import Path
 
+from repro.report.claims import (
+    EXPERIMENTS_OUTLINE, MISSING, PAPER_CLAIMS, PAPER_HEADERS, SCENARIO_HEADERS,
+    WAVEFORM_CLAIMS, WAVEFORM_HEADERS, claim_rows)
 from repro.report.registry import RunRegistry
 from repro.report.reproduce import build_plan
 
@@ -92,16 +99,24 @@ def _provenance(digest: str, key: dict, *, driver: bool) -> tuple[dict, list[str
     return prov, missing
 
 
+#: Short-form provenance fields, in footnote and appendix order.
+_PROV_FIELDS = ("digest", "seed", "driver", "library", "numpy", "python")
+
+
+def _prov_cells(prov: dict) -> list[str]:
+    """Short forms of :data:`_PROV_FIELDS`; ``—`` where no driver is keyed."""
+    seed, driver = prov["seed"], prov.get("driver_fingerprint")
+    return [f"`{str(prov['digest'])[:16]}…`",
+            "deterministic" if seed is None else str(seed),
+            f"`{str(driver)[:12]}…`" if driver else "—",
+            f"`{str(prov['fingerprint'])[:12]}…`",
+            str(prov["numpy"]), str(prov["python"])]
+
+
 def _prov_line(prov: dict) -> str:
-    seed = prov["seed"]
-    seed_text = "deterministic" if seed is None else str(seed)
-    parts = [f"digest `{str(prov['digest'])[:16]}…`", f"seed {seed_text}"]
-    if prov.get("driver_fingerprint"):
-        parts.append(f"driver `{str(prov['driver_fingerprint'])[:12]}…`")
-    parts.append(f"library `{str(prov['fingerprint'])[:12]}…`")
-    parts.append(f"numpy {prov['numpy']}")
-    parts.append(f"python {prov['python']}")
-    return "provenance: " + " · ".join(parts)
+    return "provenance: " + " · ".join(
+        f"{field} {cell}" for field, cell in zip(_PROV_FIELDS, _prov_cells(prov))
+        if cell != "—")
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +175,64 @@ def _svg_chart(result) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Blocks and their two serializers
+# ---------------------------------------------------------------------------
+#
+# Every section is built once as blocks — ("h", level, text), ("p", text),
+# ("prov", text), ("list", items), ("table", headers, rows), ("svg", markup)
+# — and serialized to markdown and to HTML, so the two cannot drift apart.
+
+def _inline(text) -> str:
+    """HTML-escaped text with markdown code spans turned into ``<code>``."""
+    return re.sub(r"`([^`]*)`", r"<code>\1</code>", _esc(text))
+
+
+def _md_row(cells) -> str:
+    return "| " + " | ".join(cells) + " |"
+
+
+def _html_row(tag: str, cells) -> str:
+    return "<tr>" + "".join(f"<{tag}>{_inline(c)}</{tag}>" for c in cells) + "</tr>"
+
+
+_MARKDOWN = {  # the chart has no markdown form
+    "h": lambda level, text: "#" * level + " " + text,
+    "p": lambda text: text,
+    "prov": lambda text: f"_{text}_",
+    "list": lambda items: "\n".join(f"- {item}" for item in items),
+    "table": lambda headers, rows: "\n".join(
+        [_md_row(headers), _md_row("---" for _ in headers)]
+        + [_md_row(row) for row in rows]),
+}
+
+_HTML = {
+    "h": lambda level, text: f"<h{level}>{_inline(text)}</h{level}>",
+    "p": lambda text: f"<p>{_inline(text)}</p>",
+    "prov": lambda text: f"<p class='prov'>{_inline(text)}</p>",
+    "list": lambda items: "<ul>" + "".join(f"<li>{_inline(item)}</li>"
+                                           for item in items) + "</ul>",
+    "table": lambda headers, rows: "<table>" + _html_row("th", headers)
+    + "".join(_html_row("td", row) for row in rows) + "</table>",
+    "svg": lambda markup: markup,
+}
+
+
+def _markdown(blocks: list[tuple]) -> str:
+    return "\n\n".join(_MARKDOWN[kind](*body) for kind, *body in blocks
+                        if kind in _MARKDOWN) + "\n"
+
+
+def _html(blocks: list[tuple]) -> str:
+    return "\n".join(["<!DOCTYPE html>", "<html><head><meta charset='utf-8'>",
+                      "<title>Saiyan reproduction report</title>",
+                      f"<style>{_CSS}</style></head><body>"]
+                     + [_HTML[kind](*body) for kind, *body in blocks]
+                     + ["</body></html>"]) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # Report assembly
 # ---------------------------------------------------------------------------
-
-def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(headers) + " |",
-             "| " + " | ".join("---" for _ in headers) + " |"]
-    lines.extend("| " + " | ".join(row) + " |" for row in rows)
-    return lines
-
-
-def _html_table(headers: list[str], rows: list[list[str]]) -> str:
-    head = "".join(f"<th>{_esc(h)}</th>" for h in headers)
-    body = "".join(
-        "<tr>" + "".join(f"<td>{_esc(cell)}</td>" for cell in row) + "</tr>"
-        for row in rows)
-    return f"<table><tr>{head}</tr>{body}</table>"
-
 
 def _bench_sections(bench: dict) -> list[tuple[str, list[list[str]]]]:
     """Flatten the benchmark record into (section title, rows) tables."""
@@ -200,9 +256,31 @@ def _bench_sections(bench: dict) -> list[tuple[str, list[list[str]]]]:
     return sections
 
 
+def _scenario_rows(names: list[str], scenarios: dict) -> list[list[str]]:
+    """One row per registered scenario; a result not in the store reads missing."""
+    from repro.sim.scenario import get_scenario
+
+    rows = []
+    for name in names:
+        spec = get_scenario(name)
+        controllers = ", ".join(label for label, enabled in (
+            ("arq", spec.arq), ("hopping", spec.hopping),
+            ("rate", spec.rate), ("aloha-mac", spec.mac)) if enabled is not None)
+        result = scenarios.get(name, (None, None))[0]
+        measured = ([MISSING] * 4 if result is None else
+                    [f"{result.prr * 100:.1f} %", str(result.collisions),
+                     str(result.hops_issued), str(result.rate_changes)])
+        rows.append([f"`{name}`", str(spec.num_tags), controllers or "—"]
+                    + measured)
+    return rows
+
+
 def render_report(store, *, bench: dict | None = None,
                   smoke: bool = False) -> dict:
-    """Render the report; return ``{"markdown", "html", "summary"}``.
+    """Render the report; return ``{"markdown", "html", "experiments", "summary"}``.
+
+    ``"experiments"`` is ``EXPERIMENTS.md``: no provenance, environment or
+    benchmark data, so every host computing the same payloads agrees.
 
     Pure function of (store contents, ``bench``, code): no timestamps, no
     recomputation, sorted iteration throughout — rendering twice from the
@@ -218,7 +296,9 @@ def render_report(store, *, bench: dict | None = None,
         # renders must not pile up one listener each.
         registry = store.registry = RunRegistry(store)
     plan = build_plan(store)
-    figures, scenarios, missing, missing_provenance = [], [], [], []
+    figures: dict = {}
+    scenarios: dict = {}
+    missing, missing_provenance = [], []
     for item in plan:
         loaded = _load_entry(store, item.digest) if item.cached else None
         if loaded is None:
@@ -232,133 +312,91 @@ def render_report(store, *, bench: dict | None = None,
                 f"{item.kind}:{item.name}: missing {', '.join(absent)}")
         try:
             if item.kind == "figure":
-                figures.append((item.name, SweepResult.from_dict(payload), prov))
+                figures[item.name] = (SweepResult.from_dict(payload), prov)
             else:
-                scenarios.append((item.name, ScenarioResult.from_dict(payload),
-                                  prov))
+                scenarios[item.name] = (ScenarioResult.from_dict(payload), prov)
         except (KeyError, TypeError):
             missing.append(f"{item.kind}:{item.name}")
 
+    results = {name: result for name, (result, _) in figures.items()}
+    tables = {
+        "paper": ("table", PAPER_HEADERS, claim_rows(PAPER_CLAIMS, results)),
+        "waveform": ("table", WAVEFORM_HEADERS,
+                     claim_rows(WAVEFORM_CLAIMS, results)),
+        "scenarios": ("table", SCENARIO_HEADERS, _scenario_rows(
+            [item.name for item in plan if item.kind == "scenario"], scenarios)),
+    }
+    experiments = [tables[block] if isinstance(block, str) else block
+                   for block in EXPERIMENTS_OUTLINE]
+
     rows = registry.rows()
-    kind_counts: dict[str, int] = {}
-    kind_bytes: dict[str, int] = {}
+    per_kind: dict[str, list[int]] = {}
     for row in rows:
-        kind = str(row.get("kind", "?"))
-        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-        kind_bytes[kind] = kind_bytes.get(kind, 0) + int(row.get("bytes") or 0)
+        totals = per_kind.setdefault(str(row.get("kind", "?")), [0, 0])
+        totals[0] += 1
+        totals[1] += int(row.get("bytes") or 0)
 
     env = environment_fingerprint()
     library = library_fingerprint()
-
-    md: list[str] = []
-    html: list[str] = ["<!DOCTYPE html>", "<html><head><meta charset='utf-8'>",
-                       "<title>Saiyan reproduction report</title>",
-                       f"<style>{_CSS}</style></head><body>"]
-
-    def emit(md_lines: list[str], html_text: str) -> None:
-        md.extend(md_lines + [""])
-        html.append(html_text)
-
     intro = ("Generated by `repro report` straight from the content-addressed "
              "result store — every number below is a store payload with its "
              "own provenance footnote (entry digest, seed, code fingerprints, "
              "numpy/python versions); nothing is hand-edited. "
              f"Rendering environment: numpy {env['numpy']}, python "
              f"{env['python']}, library fingerprint `{library[:16]}…`.")
-    emit(["# Saiyan reproduction report", "", intro],
-         f"<h1>Saiyan reproduction report</h1><p>{_esc(intro)}</p>")
-
-    emit([f"Artefacts rendered: {len(figures)} figures/tables, "
-          f"{len(scenarios)} scenarios; {len(missing)} registered units "
-          "absent from the store."],
-         f"<p>Artefacts rendered: {len(figures)} figures/tables, "
-         f"{len(scenarios)} scenarios; {len(missing)} registered units "
-         "absent from the store.</p>")
+    blocks = [
+        ("h", 1, "Saiyan reproduction report"), ("p", intro),
+        ("p", f"Artefacts rendered: {len(figures)} figures/tables, "
+              f"{len(scenarios)} scenarios; {len(missing)} registered units "
+              "absent from the store."),
+        ("h", 2, "Paper vs. reproduction"), tables["paper"],
+        ("h", 3, "Waveform-level ablation sweeps"), tables["waveform"],
+    ]
 
     if figures:
-        emit(["## Paper figures & tables"], "<h2>Paper figures &amp; tables</h2>")
-    for name, result, prov in figures:
-        heading = f"{name} — {result.title}"
-        section = [f"### {heading}", ""]
+        blocks.append(("h", 2, "Paper figures & tables"))
+    for name, (result, prov) in figures.items():
+        blocks.append(("h", 3, f"{name} — {result.title}"))
         chart = _svg_chart(result)
-        html_part = [f"<section><h3>{_esc(heading)}</h3>", chart]
+        if chart:
+            blocks.append(("svg", chart))
         if result.series:
-            series_rows = [[s.name, str(len(s.x)), s.x_label, s.y_label]
-                           for s in result.series]
-            section.extend(_md_table(["series", "points", "x", "y"],
-                                     series_rows))
-            section.append("")
+            blocks.append(("table", ["series", "points", "x", "y"],
+                           [[s.name, str(len(s.x)), s.x_label, s.y_label]
+                            for s in result.series]))
         if result.scalars:
-            scalar_rows = [[key, _fmt(value)]
-                           for key, value in result.scalars.items()]
-            section.extend(_md_table(["scalar", "value"], scalar_rows))
-            section.append("")
-            html_part.append(_html_table(["scalar", "value"], scalar_rows))
-        line = _prov_line(prov)
-        section.append(f"_{line}_")
-        html_part.append(f"<p class='prov'>{_esc(line)}</p></section>")
-        emit(section, "\n".join(html_part))
+            blocks.append(("table", ["scalar", "value"],
+                           [[key, _fmt(value)]
+                            for key, value in result.scalars.items()]))
+        blocks.append(("prov", _prov_line(prov)))
 
-    if scenarios:
-        headers = ["scenario", "tags", "PRR", "collisions", "hops",
-                   "rate changes", "seed", "digest"]
-        rows_ = [[name, str(len(result.tags)), f"{result.prr:.1%}",
-                  str(result.collisions), str(result.hops_issued),
-                  str(result.rate_changes), str(prov["seed"]),
-                  f"{prov['digest'][:12]}…"]
-                 for name, result, prov in scenarios]
-        emit(["## Network scenarios", ""] + _md_table(headers, rows_),
-             "<h2>Network scenarios</h2>" + _html_table(headers, rows_))
+    blocks += [("h", 2, "Network scenarios"), tables["scenarios"]]
 
     if bench:
-        emit(["## Benchmark gates (BENCH_batch.json)", "",
-              f"Recorded on numpy {bench.get('numpy_version', '?')} / "
-              f"python {bench.get('python_version', '?')}."],
-             "<h2>Benchmark gates (BENCH_batch.json)</h2>"
-             f"<p>Recorded on numpy {_esc(bench.get('numpy_version', '?'))} / "
-             f"python {_esc(bench.get('python_version', '?'))}.</p>")
+        blocks += [("h", 2, "Benchmark gates (BENCH_batch.json)"),
+                   ("p", f"Recorded on numpy {bench.get('numpy_version', '?')} / "
+                         f"python {bench.get('python_version', '?')}.")]
         for title, rows_ in _bench_sections(bench):
-            emit([f"### {title}", ""] + _md_table(["metric", "value"], rows_),
-                 f"<h3>{_esc(title)}</h3>"
-                 + _html_table(["metric", "value"], rows_))
+            blocks += [("h", 3, title), ("table", ["metric", "value"], rows_)]
 
     if rows:
-        reg_rows = [[kind, str(kind_counts[kind]), str(kind_bytes[kind])]
-                    for kind in sorted(kind_counts)]
-        emit(["## Run registry", "",
-              f"{len(rows)} indexed entries in `registry.jsonl`.", ""]
-             + _md_table(["kind", "entries", "bytes"], reg_rows),
-             f"<h2>Run registry</h2><p>{len(rows)} indexed entries in "
-             "<code>registry.jsonl</code>.</p>"
-             + _html_table(["kind", "entries", "bytes"], reg_rows))
+        blocks += [("h", 2, "Run registry"),
+                   ("p", f"{len(rows)} indexed entries in `registry.jsonl`."),
+                   ("table", ["kind", "entries", "bytes"],
+                    [[kind, str(count), str(size)]
+                     for kind, (count, size) in sorted(per_kind.items())])]
 
-    appendix = figures + [(name, None, prov) for name, _, prov in scenarios]
+    appendix = list(figures.items()) + list(scenarios.items())
     if appendix:
-        headers = ["artefact", "digest", "seed", "driver fingerprint",
-                   "library fingerprint", "numpy", "python"]
-        rows_ = []
-        for name, _, prov in appendix:
-            seed = prov["seed"]
-            rows_.append([
-                name, f"{prov['digest'][:16]}…",
-                "deterministic" if seed is None else str(seed),
-                f"{str(prov['driver_fingerprint'])[:12]}…"
-                if prov.get("driver_fingerprint") else "—",
-                f"{str(prov['fingerprint'])[:12]}…",
-                str(prov["numpy"]), str(prov["python"])])
-        emit(["## Provenance appendix", ""] + _md_table(headers, rows_),
-             "<h2>Provenance appendix</h2>" + _html_table(headers, rows_))
+        blocks += [("h", 2, "Provenance appendix"),
+                   ("table", ["artefact", *_PROV_FIELDS],
+                    [[name, *_prov_cells(prov)] for name, (_, prov) in appendix])]
 
     if missing:
-        emit(["## Missing from the store", "",
-              "Run `repro reproduce` to compute these:", ""]
-             + [f"- `{name}`" for name in missing],
-             "<h2>Missing from the store</h2><p>Run <code>repro reproduce"
-             "</code> to compute these:</p><ul>"
-             + "".join(f"<li><code>{_esc(name)}</code></li>"
-                       for name in missing) + "</ul>")
+        blocks += [("h", 2, "Missing from the store"),
+                   ("p", "Run `repro reproduce` to compute these:"),
+                   ("list", [f"`{name}`" for name in missing])]
 
-    html.append("</body></html>")
     summary = {
         "artefacts": len(figures) + len(scenarios),
         "figures": len(figures),
@@ -368,9 +406,8 @@ def render_report(store, *, bench: dict | None = None,
         "registry_entries": len(rows),
         "smoke": smoke,
     }
-    return {"markdown": "\n".join(md).rstrip() + "\n",
-            "html": "\n".join(html) + "\n",
-            "summary": summary}
+    return {"markdown": _markdown(blocks), "html": _html(blocks),
+            "experiments": _markdown(experiments), "summary": summary}
 
 
 def load_bench(bench_path=None) -> dict | None:
@@ -391,20 +428,25 @@ def load_bench(bench_path=None) -> dict | None:
 
 def write_report(store, output_dir, *, bench_path=None,
                  smoke: bool = False) -> dict:
-    """Render and write ``report.md`` + ``report.html``; return the summary.
+    """Render and write ``report.md``, ``report.html`` and ``EXPERIMENTS.md``.
 
-    ``bench_path`` defaults to the committed ``BENCH_batch.json`` when it
-    exists; pass an explicit path to render another benchmark record, or a
-    missing path to omit the benchmark section.
+    Returns the summary, whose ``paths`` maps ``md``/``html``/``experiments``
+    to the written files.  ``bench_path`` defaults to the committed
+    ``BENCH_batch.json`` when it exists; pass an explicit path to render
+    another benchmark record, or a missing path to omit the benchmark
+    section.
     """
     rendered = render_report(store, bench=load_bench(bench_path), smoke=smoke)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for suffix, text in (("md", rendered["markdown"]), ("html", rendered["html"])):
-        path = output_dir / f"report.{suffix}"
+    for key, filename, text in (
+            ("md", "report.md", rendered["markdown"]),
+            ("html", "report.html", rendered["html"]),
+            ("experiments", "EXPERIMENTS.md", rendered["experiments"])):
+        path = output_dir / filename
         path.write_text(text, encoding="utf-8")
-        paths[suffix] = str(path)
+        paths[key] = str(path)
     rendered["summary"]["paths"] = paths
     return rendered["summary"]
 

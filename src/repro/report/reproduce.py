@@ -96,7 +96,7 @@ def build_plan(store, *, only: list[str] | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Golden comparison (same semantics as scripts/regenerate_golden.py --check)
+# Golden comparison (shared with scripts/regenerate_golden.py --check)
 # ---------------------------------------------------------------------------
 
 def _close(produced, committed) -> bool:

@@ -171,6 +171,7 @@ class JobServer:
         self._cond = threading.Condition()
         self._threads: list[threading.Thread] = []
         self._watchdog_thread: threading.Thread | None = None
+        self._watchdog_wake = threading.Event()  # see _watchdog
         self._stopping = False
         self._worker_seq = 0
         # digest -> (worker name, claim time): the watchdog's view of
@@ -212,6 +213,7 @@ class JobServer:
             if self._threads:
                 return self
             self._stopping = False
+            self._watchdog_wake.clear()
             requeued = self.queue.recover()
             if requeued:
                 self._cond.notify_all()
@@ -226,6 +228,7 @@ class JobServer:
         with self._cond:
             self._stopping = True
             self._cond.notify_all()
+            self._watchdog_wake.set()
             threads, self._threads = self._threads, []
             watchdog, self._watchdog_thread = self._watchdog_thread, None
         for thread in threads:
@@ -381,15 +384,13 @@ class JobServer:
     def _watchdog(self) -> None:
         """Deadline enforcement + orphan recovery, one sweep per interval.
 
-        Runs entirely under ``self._cond``: workers close out finished
-        jobs under the same lock, so a sweep can never observe (and
-        re-queue) a job in the half-finished state.
+        Sleeps on its own event, so a submit's ``notify()`` always wakes a
+        worker.  Each sweep runs under ``self._cond``: workers close out
+        finished jobs under the same lock, so a sweep can never observe
+        (and re-queue) a job in the half-finished state.
         """
-        while True:
+        while not self._watchdog_wake.wait(timeout=self.watchdog_interval_s):
             with self._cond:
-                if self._stopping:
-                    return
-                self._cond.wait(timeout=self.watchdog_interval_s)
                 if self._stopping:
                     return
                 now = time.time()

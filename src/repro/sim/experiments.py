@@ -834,7 +834,8 @@ def waveform_baselines(*, snrs_db: tuple[float, ...] = (-18.0, -9.0, 0.0, 9.0),
 
 # ---------------------------------------------------------------------------
 # Registry and convenience runner (used by the CLI, the BatchRunner, the
-# golden-figure regression tests and the EXPERIMENTS.md regeneration)
+# golden-figure regression tests and `repro report`, which renders
+# EXPERIMENTS.md from their stored payloads)
 # ---------------------------------------------------------------------------
 
 #: Every paper artefact, keyed by id, mapped to its zero-argument driver.

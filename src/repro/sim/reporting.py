@@ -2,8 +2,9 @@
 
 The benchmarks print the same rows/series the paper reports; these helpers
 format :class:`~repro.sim.metrics.SeriesResult` and tabular data as aligned
-text so the output of ``pytest benchmarks/ --benchmark-only`` doubles as the
-EXPERIMENTS.md evidence.
+text for the CLI and ``pytest benchmarks/ --benchmark-only``.  The
+paper-vs-reproduction tables of EXPERIMENTS.md are rendered by
+``repro report`` (:mod:`repro.report.render`) instead.
 """
 
 from __future__ import annotations

@@ -22,6 +22,7 @@ def test_double_render_is_byte_identical(warm_store):
     second = render_report(warm_store)
     assert first["markdown"] == second["markdown"]
     assert first["html"] == second["html"]
+    assert first["experiments"] == second["experiments"]
 
 
 def test_every_rendered_artefact_carries_provenance(warm_store):
@@ -49,6 +50,25 @@ def test_unrendered_units_are_listed_as_missing(warm_store):
     assert "scenario:arq-outdoor" in summary["missing"]
 
 
+def test_experiments_text_is_host_independent(warm_store):
+    # EXPERIMENTS.md is byte-diffed in CI, so it must carry no store
+    # digest, code fingerprint or library version.
+    experiments = render_report(warm_store, bench=load_bench())["experiments"]
+    assert experiments.startswith("# EXPERIMENTS")
+    for word in ("digest", "fingerprint", "numpy"):
+        assert word not in experiments
+
+
+def test_claims_for_absent_artefacts_read_missing(warm_store):
+    rendered = render_report(warm_store)
+    for text in (rendered["experiments"], rendered["markdown"]):
+        assert ("| Fig. 21 | outdoor range: Saiyan / PLoRa / Aloba "
+                "| 148.6 / 42.4 / 30.6 m | missing |") in text
+        assert "| Fig. 22 | maximum detection distance | ~180 m | missing |" not in text
+        assert "| `arq-outdoor` | 1 | arq | missing | missing | missing | missing |" in text
+        assert "| `aloha-dense` | 8 | aloha-mac | missing" not in text
+
+
 def test_render_includes_bench_gates_when_available(warm_store):
     bench = load_bench()
     assert bench is not None  # the committed BENCH_batch.json
@@ -71,7 +91,10 @@ def test_render_has_no_wall_clock_leakage(warm_store):
 
 def test_write_report_writes_both_formats(warm_store, tmp_path):
     summary = write_report(warm_store, tmp_path / "out", bench_path=None)
-    assert sorted(summary["paths"]) == ["html", "md"]
+    assert sorted(summary["paths"]) == ["experiments", "html", "md"]
+    assert summary["paths"]["experiments"] == str(tmp_path / "out" / "EXPERIMENTS.md")
+    assert (tmp_path / "out" / "EXPERIMENTS.md").read_text() == \
+        render_report(warm_store)["experiments"]
     report_md = (tmp_path / "out" / "report.md").read_text()
     report_html = (tmp_path / "out" / "report.html").read_text()
     assert "fig22" in report_md

@@ -192,6 +192,28 @@ def test_restart_recovers_interrupted_queue_rows(tmp_path):
         second.stop()
 
 
+def test_every_enqueued_job_wakes_a_worker(tmp_path, monkeypatch):
+    """A submit's single notify() must reach an idle worker.
+
+    With the watchdog sweeping every 50 ms it is nearly always asleep; if
+    it slept on the workers' condition, the notify could wake it instead
+    and the job would wait out a worker's 0.5 s poll.
+    """
+    monkeypatch.setattr(server_mod, "execute_job",
+                        lambda spec, store: ({"seed": spec.seed}, "computed"))
+    elapsed = []
+    with _server(tmp_path, watchdog_interval_s=0.05) as server:
+        time.sleep(0.1)  # workers and watchdog reach their waits
+        for seed in range(20):
+            job = server.submit({"kind": "scenario", "name": "aloha-dense",
+                                 "seed": seed})
+            started = time.perf_counter()
+            server.wait(job, 5)
+            elapsed.append(time.perf_counter() - started)
+            assert job.status == "done"
+    assert max(elapsed) < 0.1, [f"{s * 1e3:.0f} ms" for s in elapsed]
+
+
 def test_done_memo_is_bounded(tmp_path):
     server = _server(tmp_path)
     spec = server.submit({"kind": "figure", "name": "fig5"}).spec
