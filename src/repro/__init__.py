@@ -20,11 +20,19 @@ Implementation of a Low-power Demodulator for LoRa Backscatter Systems"*
   simulation and the per-figure experiment drivers.
 """
 
-from repro.core.config import SaiyanConfig, SaiyanMode
-from repro.core.receiver import SaiyanReceiver
-from repro.lora.parameters import DownlinkParameters, LoRaParameters
+import importlib
 
 __version__ = "1.0.0"
+
+#: Re-exported name -> defining module.  Resolved on first access (PEP 562),
+#: so ``import repro`` and ``repro --help`` load no engine, NumPy or SciPy.
+_EXPORTS = {
+    "SaiyanConfig": "repro.core.config",
+    "SaiyanMode": "repro.core.config",
+    "SaiyanReceiver": "repro.core.receiver",
+    "DownlinkParameters": "repro.lora.parameters",
+    "LoRaParameters": "repro.lora.parameters",
+}
 
 __all__ = [
     "SaiyanConfig",
@@ -34,3 +42,13 @@ __all__ = [
     "LoRaParameters",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -68,18 +68,11 @@ The same functionality is available programmatically through
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from collections.abc import Sequence
 
-from repro.channel.environment import indoor_environment, outdoor_environment
-from repro.channel.fading import NoFading
-from repro.core.config import SaiyanConfig, SaiyanMode
-from repro.core.power_model import SaiyanPowerModel
-from repro.lora.parameters import DownlinkParameters
-from repro.sim import experiments
-from repro.sim.link_sim import BaselineLinkModel, SaiyanLinkModel
-from repro.sim.reporting import format_sweep
+# Each handler imports the modules it needs, so ``repro --help`` loads no
+# engine, NumPy or SciPy, and only the commands that filter pay for SciPy.
 
 
 def _shards_arg(value: str) -> int | str:
@@ -308,11 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: Artefact ids accepted by ``repro experiments --only`` — derived from the
-#: driver registry so the CLI can never drift out of sync with it.
-ARTEFACT_IDS: tuple[str, ...] = tuple(experiments.FIGURE_DRIVERS)
-
-
 def _open_cli_store(args: argparse.Namespace):
     """The :class:`~repro.sim.store.ResultStore` of a ``--store`` run, or None.
 
@@ -339,7 +327,13 @@ def _print_store_summary(store) -> None:
 
 
 def _run_experiments(args: argparse.Namespace) -> int:
-    available = sorted(ARTEFACT_IDS)
+    import inspect
+
+    from repro.sim import experiments
+    from repro.sim.reporting import format_sweep
+
+    # Derived from the driver registry so the CLI cannot drift out of sync.
+    available = sorted(experiments.FIGURE_DRIVERS)
     if args.list:
         print("available artefacts:", " ".join(available))
         return 0
@@ -381,6 +375,7 @@ def _run_experiments(args: argparse.Namespace) -> int:
 def _run_network(args: argparse.Namespace) -> int:
     from repro.sim.batch import BatchRunner
     from repro.sim.network_engine import make_scenario_driver
+    from repro.sim.reporting import format_sweep
     from repro.sim.scenario import scenario_names, get_scenario
 
     if args.list:
@@ -452,6 +447,7 @@ def _run_network(args: argparse.Namespace) -> int:
 def _run_waveform(args: argparse.Namespace) -> int:
     from repro.exceptions import ConfigurationError
     from repro.sim.batch import BatchRunner
+    from repro.sim.reporting import format_sweep
     from repro.sim.waveform_engine import get_sweep, make_waveform_driver, sweep_names
 
     if args.list:
@@ -492,6 +488,8 @@ def _run_waveform(args: argparse.Namespace) -> int:
 
 
 def _run_power(args: argparse.Namespace) -> int:
+    from repro.core.power_model import SaiyanPowerModel
+
     model = SaiyanPowerModel(duty_cycle=args.duty_cycle,
                              implementation=args.implementation)
     summary = model.summary()
@@ -608,9 +606,13 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.exceptions import ConfigurationError
 
     if args.action == "run":
+        from repro.dsp.filters import scipy_signal
         from repro.serve.server import JobServer, serve_http
         from repro.sim.store import open_store
 
+        # Pay the SciPy import before listening, not inside the first
+        # computing request (and so that forked pool workers inherit it).
+        scipy_signal()
         job_server = JobServer(open_store(args.store_dir),
                                workers=args.workers,
                                max_queue_depth=args.max_queue_depth,
@@ -671,6 +673,7 @@ def _run_serve(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 1
         from repro.serve.jobs import decode_payload, parse_job
+        from repro.sim.reporting import format_sweep
 
         result = decode_payload(parse_job(job), reply["result"])
         print(format_sweep(result))
@@ -697,6 +700,12 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 
 def _run_range(args: argparse.Namespace) -> int:
+    from repro.channel.environment import indoor_environment, outdoor_environment
+    from repro.channel.fading import NoFading
+    from repro.core.config import SaiyanConfig, SaiyanMode
+    from repro.lora.parameters import DownlinkParameters
+    from repro.sim.link_sim import BaselineLinkModel, SaiyanLinkModel
+
     if args.environment == "outdoor":
         environment = outdoor_environment(fading=NoFading())
     else:

@@ -9,8 +9,8 @@ receiver's preamble search.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
+from repro.dsp.filters import scipy_signal
 from repro.dsp.signals import Signal
 from repro.exceptions import SignalError
 
@@ -29,7 +29,7 @@ def cross_correlate(signal: Signal, template: Signal | np.ndarray) -> np.ndarray
             f"template ({template_samples.size} samples) is longer than the "
             f"signal ({samples.size} samples)"
         )
-    corr = sps.correlate(samples, template_samples, mode="valid")
+    corr = scipy_signal().correlate(samples, template_samples, mode="valid")
     return np.abs(corr)
 
 
@@ -44,8 +44,9 @@ def normalized_correlation(signal: Signal, template: Signal | np.ndarray) -> np.
     samples = np.asarray(signal.samples)
     corr = cross_correlate(signal, template)
     template_energy = np.sqrt(np.sum(np.abs(template_samples) ** 2))
-    window_power = sps.correlate(np.abs(samples) ** 2,
-                                 np.ones(template_samples.size), mode="valid")
+    window_power = scipy_signal().correlate(np.abs(samples) ** 2,
+                                            np.ones(template_samples.size),
+                                            mode="valid")
     window_energy = np.sqrt(np.maximum(window_power, 1e-30))
     denom = np.maximum(window_energy * template_energy, 1e-30)
     return np.clip(corr / denom, 0.0, 1.0)
@@ -55,7 +56,8 @@ def matched_filter(signal: Signal, template: Signal | np.ndarray) -> Signal:
     """Apply a matched filter (time-reversed conjugate of ``template``)."""
     template_samples = _template_samples(signal, template)
     kernel = np.conj(template_samples[::-1])
-    filtered = sps.fftconvolve(np.asarray(signal.samples), kernel, mode="same")
+    filtered = scipy_signal().fftconvolve(np.asarray(signal.samples), kernel,
+                                          mode="same")
     return signal.with_samples(filtered, label=f"{signal.label}|mf")
 
 

@@ -5,12 +5,17 @@ amplifier, the output low-pass filter) on top of these primitives.  FIR
 design uses windowed-sinc filters from scipy; the frequency-domain gain
 helper applies an arbitrary magnitude response, which is how the measured
 SAW response from Figure 5 is imposed onto a waveform.
+
+SciPy is imported on first use through :func:`scipy_signal`, not at module
+import: it costs over a second, and most entry points (``repro --help``,
+store hits, the analytic figures) never filter a waveform.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from scipy import signal as sps
 
 from repro.dsp.signals import Signal
 from repro.exceptions import ConfigurationError
@@ -23,6 +28,19 @@ from repro.utils.validation import ensure_integer, ensure_positive
 #: rebuild.  Bounded LRU: long multi-config sessions cannot grow it without
 #: limit (see repro.sim.execution for the fabric-wide cache registry).
 FIR_PLAN_CACHE = PlanCache("fir-plans", maxsize=128)
+
+
+@functools.cache
+def scipy_signal():
+    """``scipy.signal``, imported on the first call.
+
+    Every SciPy call in :mod:`repro.dsp` goes through here.  Long-lived
+    processes (the fabric's pool, ``repro serve run``) call it up front so
+    that forked workers and the first request do not pay the import.
+    """
+    import scipy.signal
+
+    return scipy.signal
 
 
 def moving_average(signal: Signal, window: int) -> Signal:
@@ -49,7 +67,8 @@ def fir_lowpass(cutoff_hz: float, sample_rate: float, *, num_taps: int = 129) ->
         )
     key = ("lowpass", float(cutoff_hz), float(sample_rate), num_taps)
     return FIR_PLAN_CACHE.get(
-        key, lambda: freeze_array(sps.firwin(num_taps, cutoff_hz, fs=sample_rate)))
+        key, lambda: freeze_array(
+            scipy_signal().firwin(num_taps, cutoff_hz, fs=sample_rate)))
 
 
 def fir_bandpass(low_hz: float, high_hz: float, sample_rate: float, *,
@@ -67,8 +86,9 @@ def fir_bandpass(low_hz: float, high_hz: float, sample_rate: float, *,
         )
     key = ("bandpass", float(low_hz), float(high_hz), float(sample_rate), num_taps)
     return FIR_PLAN_CACHE.get(
-        key, lambda: freeze_array(sps.firwin(num_taps, [low_hz, high_hz],
-                                             pass_zero=False, fs=sample_rate)))
+        key, lambda: freeze_array(
+            scipy_signal().firwin(num_taps, [low_hz, high_hz], pass_zero=False,
+                                  fs=sample_rate)))
 
 
 def apply_fir(signal: Signal, taps: np.ndarray) -> Signal:
@@ -85,7 +105,7 @@ def apply_fir(signal: Signal, taps: np.ndarray) -> Signal:
     samples = np.asarray(signal.samples)
     delay = (taps.size - 1) // 2
     padded = np.concatenate([samples, np.zeros(delay, dtype=samples.dtype)])
-    filtered = sps.lfilter(taps, [1.0], padded)[delay:]
+    filtered = scipy_signal().lfilter(taps, [1.0], padded)[delay:]
     return signal.with_samples(filtered)
 
 
@@ -108,7 +128,7 @@ def apply_fir_stack(stack: np.ndarray, taps: np.ndarray) -> np.ndarray:
     delay = (taps.size - 1) // 2
     padded = np.concatenate(
         [stack, np.zeros((stack.shape[0], delay), dtype=stack.dtype)], axis=1)
-    return sps.lfilter(taps, [1.0], padded, axis=1)[:, delay:]
+    return scipy_signal().lfilter(taps, [1.0], padded, axis=1)[:, delay:]
 
 
 def apply_fir_stack_gapped(stack: np.ndarray, taps: np.ndarray,
@@ -176,7 +196,7 @@ def apply_fir_stack_fast(stack: np.ndarray, taps: np.ndarray) -> np.ndarray:
     if stack.ndim != 2:
         raise ConfigurationError(f"stack must be 2-D, got shape {stack.shape}")
     delay = (taps.size - 1) // 2
-    full = sps.fftconvolve(stack, taps[None, :], mode="full", axes=1)
+    full = scipy_signal().fftconvolve(stack, taps[None, :], mode="full", axes=1)
     return full[:, delay: delay + stack.shape[1]]
 
 

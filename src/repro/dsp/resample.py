@@ -8,8 +8,8 @@ waveforms down to the MCU's sampling grid.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
+from repro.dsp.filters import scipy_signal
 from repro.dsp.signals import Signal
 from repro.exceptions import ConfigurationError
 from repro.utils.validation import ensure_integer, ensure_positive
@@ -28,7 +28,7 @@ def decimate(signal: Signal, factor: int, *, anti_alias: bool = True) -> Signal:
     if factor == 1:
         return signal
     if anti_alias:
-        decimated = sps.decimate(samples, factor, ftype="fir", zero_phase=True)
+        decimated = scipy_signal().decimate(samples, factor, ftype="fir", zero_phase=True)
     else:
         decimated = samples[::factor]
     return Signal(decimated, signal.sample_rate / factor,
@@ -58,7 +58,7 @@ def resample_to_rate(signal: Signal, target_rate: float, *,
         raise ConfigurationError(
             f"cannot resample from {signal.sample_rate} Hz to {target_rate} Hz"
         )
-    resampled = sps.resample_poly(np.asarray(signal.samples), up, down)
+    resampled = scipy_signal().resample_poly(np.asarray(signal.samples), up, down)
     actual_rate = signal.sample_rate * up / down
     return Signal(resampled, actual_rate, carrier_hz=signal.carrier_hz,
                   label=f"{signal.label}|rs{target_rate:g}")

@@ -8,8 +8,8 @@ spectrum monitor in the channel-hopping case study.
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sps
 
+from repro.dsp.filters import scipy_signal
 from repro.dsp.signals import Signal
 from repro.exceptions import ConfigurationError
 from repro.utils.units import linear_to_db
@@ -46,8 +46,9 @@ def power_spectral_density(signal: Signal, *, nperseg: int = 256
     """Return the Welch PSD estimate ``(frequencies, psd)`` of ``signal``."""
     samples = np.asarray(signal.samples)
     nperseg = min(int(nperseg), samples.size)
-    freqs, psd = sps.welch(samples, fs=signal.sample_rate, nperseg=nperseg,
-                           return_onesided=not np.iscomplexobj(samples))
+    freqs, psd = scipy_signal().welch(samples, fs=signal.sample_rate,
+                                      nperseg=nperseg,
+                                      return_onesided=not np.iscomplexobj(samples))
     if np.iscomplexobj(samples):
         order = np.argsort(freqs)
         freqs, psd = freqs[order], psd[order]
@@ -61,7 +62,7 @@ def spectrogram(signal: Signal, *, nperseg: int = 128, noverlap: int | None = No
     nperseg = min(int(nperseg), samples.size)
     if noverlap is None:
         noverlap = nperseg // 2
-    freqs, times, stft = sps.spectrogram(
+    freqs, times, stft = scipy_signal().spectrogram(
         samples, fs=signal.sample_rate, nperseg=nperseg, noverlap=noverlap,
         return_onesided=not np.iscomplexobj(samples), mode="magnitude",
     )
