@@ -102,7 +102,7 @@ def build_fault_plan(seed: int) -> faults.FaultPlan:
         faults.FaultSpec(kind="store_write_error", site="store.write",
                          at=(0,)),
         # store.corrupt counts successful puts: index 1 corrupts the
-        # second persisted entry; the re-submit phase re-reads every
+        # second persisted entry; a restarted daemon then re-reads every
         # entry, so the damage is exercised as a miss + recompute.
         faults.FaultSpec(kind="store_corrupt_entry", site="store.corrupt",
                          at=(1,)),
@@ -198,12 +198,19 @@ def chaos_pass(seed: int, figures: tuple[str, ...], burst_threads: int,
                 accepted.append(reply["digest"])
                 check(job, reply["result"])
 
-            # -- phase 2: re-read every entry (corrupt-entry recovery) -
-            for job in _mix(figures):
-                reply = client.submit(job, wait=True, timeout=120)
-                assert reply.get("status") == "done", f"re-read failed: {reply}"
-                check(job, reply["result"])
-            corrupt_recoveries = job_server.store.stats()["corrupt"]
+            # -- phase 2: a restarted daemon re-reads every entry -----
+            # The live daemon answers repeats from its memo, so the torn
+            # entry is read back by a fresh server (own queue file, same
+            # store root): corrupt-entry recovery as a miss + recompute.
+            with JobServer(ResultStore(root.name), workers=2,
+                           queue_path=Path(root.name) / "restart-queue.sqlite"
+                           ) as restarted:
+                for job in _mix(figures):
+                    reread = restarted.wait(restarted.submit(job), 120)
+                    assert reread.status == "done", \
+                        f"re-read failed: {reread.error}"
+                    check(job, reread.payload)
+                corrupt_recoveries = restarted.store.stats()["corrupt"]
 
             # -- phase 3: identical burst with a mid-flight crash ------
             computed_before = job_server.computed
@@ -349,6 +356,9 @@ def gate(record: dict) -> list[str]:
         failures.append("admission control never rejected")
     if not record["degraded_observed"]:
         failures.append("/healthz never reported degraded under saturation")
+    if record["corrupt_recoveries"] < 1:
+        failures.append("the corrupted store entry was never read back "
+                        "(corrupt_recoveries = 0)")
     return failures
 
 

@@ -1,13 +1,18 @@
 """The coalescing job server and its HTTP front end.
 
-Request lifecycle (all under one lock, so the sequence is atomic per
-request — this is what makes single-flight *strict*):
+Request lifecycle (every decision is taken under one lock, ``_cond``,
+so single-flight is *strict*; only the first store read of a digest runs
+outside it):
 
 1. parse → store key → digest (the coalescing key **is** the store
    digest, so "identical request" means "identical result bits").
 2. digest already in flight → attach to that job (*coalesced*).
-3. store hit → answer immediately (*store*), no queue entry.
-4. otherwise register the job, persist it in the
+3. digest finished in the memo → answer from memory (*store*): no disk
+   read, no JSON decode, the payload's encoded text reused as is.
+4. otherwise release the lock, read the store entry and encode it once,
+   then retake the lock and re-check the memo: now in flight → attach;
+   a store hit → answer it (*store*) and keep it in the memo; else
+   register the job, persist it in the
    :class:`~repro.serve.queue.PersistentJobQueue` with priority
    = :meth:`CostModel.predict_seconds <repro.sim.execution.CostModel.predict_seconds>`
    and wake a worker (*miss*).
@@ -21,7 +26,11 @@ Determinism contract: workers execute through the *same* entry points
 as the one-shot CLI, and every engine is deterministic under a fixed
 seed, so a served payload is byte-identical to the one-shot output —
 which is also why a late result from an abandoned worker can be
-discarded safely: any store write it made carries the same bits.
+discarded safely: any store write it made carries the same bits.  The
+same contract makes the memo a safe hit cache: a memo hit does not
+refresh the entry's LRU mtime on disk, and does not notice if the entry
+is later deleted or torn on disk, because a digest's bits never change
+for a given key.
 
 The HTTP layer is a thin JSON translation on
 :class:`http.server.ThreadingHTTPServer` (stdlib only):
@@ -51,7 +60,9 @@ failed-with-error, or re-queued.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -65,12 +76,16 @@ from repro.exceptions import ConfigurationError
 from repro.serve.jobs import (JobSpec, execute_job, job_store_key, parse_job,
                               predict_priority)
 from repro.serve.queue import PersistentJobQueue
+from repro.utils.hashing import canonical_json
 
 __all__ = ["Job", "JobServer", "ServerBusyError", "serve_http"]
 
-#: Completed jobs kept in memory for status queries; beyond this the
-#: oldest finished records are dropped (their payloads live in the store
-#: and their bookkeeping in the queue, so nothing is lost).
+#: Finished jobs kept in memory.  The memo answers status queries and is
+#: also the hit cache: a repeat request for a done digest is served from
+#: its payload and encoded text here.  Beyond this bound the oldest
+#: finished records are dropped (their payloads live in the store and
+#: their bookkeeping in the queue, so nothing is lost; the next request
+#: reads the store again).
 DONE_MEMO_LIMIT: int = 1024
 
 #: ``Retry-After`` hint (seconds) sent with admission-control rejections.
@@ -105,6 +120,12 @@ class Job:
     done: threading.Event = field(default_factory=threading.Event)
     submitted_at: float = field(default_factory=time.time)
     finished_at: float | None = None
+    #: ``json.dumps(payload)``, encoded once when the job is done; the
+    #: HTTP layer splices it into replies instead of re-encoding.
+    result_json: str | None = None
+    #: Canonical JSON of the store key; a memo hit must match it, which
+    #: keeps the store's guard against digest collisions.
+    key_json: str | None = None
 
     def describe(self) -> dict:
         """JSON-safe status view (never includes the payload)."""
@@ -247,29 +268,28 @@ class JobServer:
     def submit(self, request: Mapping | JobSpec) -> Job:
         """Coalesce/serve/queue one request; returns its :class:`Job`.
 
-        The returned job may already be finished (store hit or attach to
-        a completed memo entry); callers that need the result use
-        :meth:`wait`.
+        The returned job may already be finished (store hit or memo
+        hit); callers that need the result use :meth:`wait`.
         """
         spec = request if isinstance(request, JobSpec) else parse_job(request)
         key = job_store_key(spec)
-        digest = self.store.digest(key)
+        key_json = canonical_json(key)
+        digest = hashlib.sha256(key_json.encode("utf-8")).hexdigest()
         with self._cond:
             self.requests += 1
-            existing = self._jobs.get(digest)
-            if existing is not None and existing.status in ("queued", "running"):
-                self.coalesced += 1
-                return existing
-            payload = self.store.get(key, digest=digest)
-            if payload is not None:
-                self.store_hits += 1
-                job = Job(digest=digest, spec=spec, status="done",
-                          provenance="store", payload=payload,
-                          finished_at=time.time())
-                job.done.set()
-                self._jobs[digest] = job
-                self._prune_memo()
+            job = self._answer_from_memo_locked(digest, spec, key_json)
+            if job is not None:
                 return job
+        # First touch of this digest: read and encode outside the lock.
+        payload = self.store.get(key, digest=digest)
+        result_json = json.dumps(payload) if payload is not None else None
+        with self._cond:
+            job = self._answer_from_memo_locked(digest, spec, key_json)
+            if job is not None:
+                return job
+            if payload is not None:
+                return self._store_hit_locked(digest, spec, key_json,
+                                              payload, result_json)
             # Miss (or previously failed — both re-enter the queue), so
             # this request needs a queue slot: admission control applies.
             if self.max_queue_depth is not None:
@@ -280,11 +300,44 @@ class JobServer:
                         f"queue full: {inflight} in-flight jobs at the "
                         f"max_queue_depth={self.max_queue_depth} bound",
                         retry_after_s=DEFAULT_RETRY_AFTER_S)
-            job = Job(digest=digest, spec=spec)
+            job = Job(digest=digest, spec=spec, key_json=key_json)
             self._jobs[digest] = job
             self.queue.enqueue(digest, spec.to_dict(), predict_priority(spec))
             self._cond.notify()
             return job
+
+    def _answer_from_memo_locked(self, digest: str, spec: JobSpec,
+                                 key_json: str) -> Job | None:
+        """Answer from the memo if it can (callers hold ``self._cond``).
+
+        An in-flight job is attached to (*coalesced*); a done job with
+        the same key is answered as a store hit by a fresh job sharing
+        its payload and encoded text.  ``None`` means the memo cannot
+        answer: no entry, a failed one, or a key mismatch.
+        """
+        existing = self._jobs.get(digest)
+        if existing is None:
+            return None
+        if existing.status in ("queued", "running"):
+            self.coalesced += 1
+            return existing
+        if (existing.status != "done" or existing.result_json is None
+                or existing.key_json != key_json):
+            return None
+        return self._store_hit_locked(digest, spec, key_json,
+                                      existing.payload, existing.result_json)
+
+    def _store_hit_locked(self, digest: str, spec: JobSpec, key_json: str,
+                          payload, result_json: str) -> Job:
+        """Register a finished *store* answer in the memo (lock held)."""
+        self.store_hits += 1
+        job = Job(digest=digest, spec=spec, status="done", provenance="store",
+                  payload=payload, finished_at=time.time(),
+                  result_json=result_json, key_json=key_json)
+        job.done.set()
+        self._jobs[digest] = job
+        self._prune_memo()
+        return job
 
     def _inflight_locked(self) -> int:
         """Queued + running jobs in memory (callers hold ``self._cond``)."""
@@ -342,6 +395,7 @@ class JobServer:
                 self._active[digest] = (name, time.time())
             try:
                 payload, provenance = execute_job(job.spec, self.store)
+                result_json = json.dumps(payload)
             except Exception as error:  # noqa: BLE001 - served back to client
                 with self._cond:
                     self._heartbeats[name] = time.time()
@@ -375,6 +429,7 @@ class JobServer:
                         job.status = "done"
                         job.provenance = provenance
                         job.payload = payload
+                        job.result_json = result_json
                         job.finished_at = time.time()
                         self.computed += 1
                         self._prune_memo()
@@ -459,17 +514,18 @@ class JobServer:
         """
         from repro.sim.execution import fabric_stats
 
+        with self._cond:
+            inflight = self._inflight_locked()
+        return self._health(fabric_stats(), inflight)
+
+    def _health(self, fabric: dict, inflight: int) -> dict:
         reasons: list[str] = []
-        if fabric_stats()["pool"].get("rebuilding"):
+        if fabric["pool"].get("rebuilding"):
             reasons.append("fabric: process pool rebuilding")
         if getattr(self.store, "read_only", False):
             reasons.append("store: read-only (persistent write failures)")
-        with self._cond:
-            if (self.max_queue_depth is not None
-                    and self._inflight_locked() >= self.max_queue_depth):
-                reasons.append(
-                    f"queue: saturated ({self._inflight_locked()}"
-                    f"/{self.max_queue_depth})")
+        if self.max_queue_depth is not None and inflight >= self.max_queue_depth:
+            reasons.append(f"queue: saturated ({inflight}/{self.max_queue_depth})")
         return {"ok": True, "state": "degraded" if reasons else "ok",
                 "reasons": reasons}
 
@@ -493,9 +549,10 @@ class JobServer:
         queue_counts = self.queue.counts()
         queue_counts["lock_retries"] = self.queue.lock_retries
         queue_counts["poisoned"] = self.queue.poisoned
+        fabric = fabric_stats()
         return {"serve": counters, "queue": queue_counts,
-                "store": self.store.stats(), "fabric": fabric_stats(),
-                "health": self.health()}
+                "store": self.store.stats(), "fabric": fabric,
+                "health": self._health(fabric, counters["inflight"])}
 
 
 # ----------------------------------------------------------------------
@@ -539,6 +596,18 @@ class _ServeHandler(BaseHTTPRequestHandler):
     def _reply(self, status: int, payload: dict,
                headers: dict[str, str] | None = None) -> None:
         self._reply_text(status, json.dumps(payload), "application/json", headers)
+
+    def _reply_result(self, status: int, view: dict, job: Job) -> None:
+        """Reply ``view`` with the job's payload appended as ``"result"``.
+
+        Splices the payload's stored encoding into the view's, which is
+        byte-identical to ``json.dumps({**view, "result": job.payload})``
+        without re-encoding the payload.
+        """
+        if job.result_json is None:
+            return self._reply(status, {**view, "result": job.payload})
+        body = json.dumps(view)[:-1] + ', "result": ' + job.result_json + "}"
+        self._reply_text(status, body, "application/json")
 
     def _reply_text(self, status: int, body: str, content_type: str,
                     headers: dict[str, str] | None = None) -> None:
@@ -606,9 +675,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 if job is None or job.status != "done":
                     return self._reply(409, {"error": "job not finished",
                                              "status": view["status"]})
-                return self._reply(200, {"digest": digest,
-                                         "provenance": job.provenance,
-                                         "result": job.payload})
+                return self._reply_result(
+                    200, {"digest": digest, "provenance": job.provenance}, job)
         return self._reply(404, {"error": f"no route {parts.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib handler name
@@ -621,6 +689,17 @@ class _ServeHandler(BaseHTTPRequestHandler):
         except (ValueError, json.JSONDecodeError) as error:
             return self._reply(400, {"error": f"bad request body: {error}"})
         query = parse_qs(parts.query)
+        # Parsed before submit, so a bad query queues nothing.
+        wait = query.get("wait", ["0"])[-1] in ("1", "true", "yes")
+        raw_timeout = query.get("timeout", ["300"])[-1]
+        try:
+            timeout = float(raw_timeout)
+        except ValueError:
+            timeout = math.nan
+        if not 0.0 <= timeout < math.inf:
+            return self._reply(400, {
+                "error": f"timeout must be a finite number of seconds >= 0, "
+                         f"got {raw_timeout!r}"})
         try:
             job = self.jobs.submit(request)
         except ConfigurationError as error:
@@ -629,8 +708,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return self._reply(
                 503, {"error": str(error), "retry_after_s": error.retry_after_s},
                 headers={"Retry-After": f"{error.retry_after_s:g}"})
-        if query.get("wait", ["0"])[-1] in ("1", "true", "yes"):
-            timeout = float(query.get("timeout", ["300"])[-1])
+        if wait:
             try:
                 self.jobs.wait(job, timeout)
             except TimeoutError as error:
@@ -638,8 +716,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
                                          **job.describe()})
         view = job.describe()
         if job.status == "done":
-            view["result"] = job.payload
-            return self._reply(200, view)
+            return self._reply_result(200, view, job)
         if job.status == "failed":
             return self._reply(500, view)
         return self._reply(202, view)

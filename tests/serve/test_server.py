@@ -15,7 +15,7 @@ import time
 import pytest
 
 import repro.serve.server as server_mod
-from repro.serve.jobs import execute_job
+from repro.serve.jobs import execute_job, parse_job
 from repro.serve.server import DONE_MEMO_LIMIT, Job, JobServer, serve_http
 from repro.sim.store import ResultStore
 
@@ -23,6 +23,25 @@ from repro.sim.store import ResultStore
 def _server(tmp_path, **kwargs) -> JobServer:
     return JobServer(ResultStore(tmp_path / "store"),
                      queue_path=tmp_path / "queue.sqlite", **kwargs)
+
+
+def _counting_get(monkeypatch):
+    """Patch ResultStore.get with a call-recording delegate (digests)."""
+    calls: list = []
+    original = ResultStore.get
+
+    def record(store, key, *, digest=None):
+        calls.append(digest)
+        return original(store, key, digest=digest)
+
+    monkeypatch.setattr(ResultStore, "get", record)
+    return calls
+
+
+def _stored(server: JobServer, *requests) -> None:
+    """Compute ``requests`` straight into the server's store."""
+    for request in requests:
+        execute_job(parse_job(request), server.store)
 
 
 def _counting_execute(monkeypatch):
@@ -231,6 +250,164 @@ def test_done_memo_is_bounded(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Memo hits
+# ---------------------------------------------------------------------------
+
+def test_repeat_hit_is_answered_from_the_memo_without_a_store_read(
+        tmp_path, monkeypatch):
+    server = _server(tmp_path)
+    request = {"kind": "figure", "name": "fig5"}
+    _stored(server, request)
+    gets = _counting_get(monkeypatch)
+    try:
+        first = server.submit(request)       # first touch reads the store
+        assert first.provenance == "store"
+        assert first.digest == server.store.digest(
+            server_mod.job_store_key(first.spec))
+        assert gets == [first.digest]
+        assert server.store.stats()["hits"] == 1
+        for count in (2, 3):
+            repeat = server.submit(request)
+            assert repeat is not first
+            assert repeat.status == "done" and repeat.done.is_set()
+            assert repeat.provenance == "store"
+            assert repeat.payload is first.payload
+            assert repeat.result_json is first.result_json
+            assert repeat.result_json == json.dumps(first.payload)
+            assert server.store_hits == count
+        assert gets == [first.digest]        # no further store reads
+        assert server.store.stats()["hits"] == 1
+        assert server.queue.counts()["queued"] == 0
+    finally:
+        server.queue.close()
+
+
+def test_repeat_of_a_computed_job_is_a_memo_hit(tmp_path, monkeypatch):
+    calls = _counting_execute(monkeypatch)
+    with _server(tmp_path) as server:
+        request = {"kind": "figure", "name": "fig23"}
+        computed = server.wait(server.submit(request), 60)
+        assert computed.provenance == "miss"
+        assert computed.result_json == json.dumps(computed.payload)
+        gets = _counting_get(monkeypatch)
+        repeat = server.submit(request)
+        assert repeat.provenance == "store"
+        assert repeat.result_json is computed.result_json
+        assert gets == []
+        assert len(calls) == 1
+        assert server.stats()["serve"]["store_hits"] == 1
+
+
+def test_memo_entry_with_a_different_key_is_not_served(tmp_path, monkeypatch):
+    """A digest collision in the memo falls back to the store's check."""
+    server = _server(tmp_path)
+    request = {"kind": "figure", "name": "fig5"}
+    _stored(server, request)
+    spec = parse_job(request)
+    digest = server.store.digest(server_mod.job_store_key(spec))
+    with server._cond:
+        server._jobs[digest] = Job(
+            digest=digest, spec=spec, status="done", provenance="store",
+            payload={"other": True}, result_json='{"other": true}',
+            key_json='{"kind":"other"}', finished_at=time.time())
+    gets = _counting_get(monkeypatch)
+    try:
+        job = server.submit(request)
+        assert gets == [digest]
+        assert job.provenance == "store"
+        assert job.payload != {"other": True}
+        assert job.result_json == json.dumps(job.payload)
+        assert server.get(digest) is job
+    finally:
+        server.queue.close()
+
+
+def test_a_slow_first_store_read_does_not_hold_the_server_lock(
+        tmp_path, monkeypatch):
+    server = _server(tmp_path)
+    slow = {"kind": "figure", "name": "fig5"}
+    hot = {"kind": "figure", "name": "fig23"}
+    _stored(server, slow, hot)
+    server.submit(hot)                       # now in the memo
+    entered, release = threading.Event(), threading.Event()
+    original = ResultStore.get
+
+    def blocking_get(store, key, *, digest=None):
+        entered.set()
+        release.wait(30)
+        return original(store, key, digest=digest)
+
+    monkeypatch.setattr(ResultStore, "get", blocking_get)
+    results: dict = {}
+    blocked = threading.Thread(
+        target=lambda: results.update(slow=server.submit(slow)))
+    probe = threading.Thread(
+        target=lambda: results.update(hot=server.submit(hot),
+                                      stats=server.stats()))
+    blocked.start()
+    try:
+        assert entered.wait(10)
+        probe.start()
+        probe.join(5)
+        assert not probe.is_alive(), "memo hit waited on another digest's read"
+        assert results["hot"].provenance == "store"
+        assert results["stats"]["serve"]["store_hits"] == 2
+        assert "slow" not in results
+    finally:
+        release.set()
+        blocked.join(10)
+        probe.join(10)
+        server.queue.close()
+    assert results["slow"].provenance == "store"
+    assert server.store_hits == 3
+
+
+def test_concurrent_first_touches_keep_single_flight(tmp_path, monkeypatch):
+    """Racing submits across the unlocked store read: every request is
+    counted once, and each missing digest is queued and computed once."""
+    import sys
+
+    calls = _counting_execute(monkeypatch)
+    server = _server(tmp_path)
+    stored = {"kind": "figure", "name": "fig5"}
+    missing = [{"kind": "figure", "name": "fig23"},
+               {"kind": "scenario", "name": "aloha-dense"}]
+    _stored(server, stored)
+    requests = [stored, *missing] * 8
+    jobs: list[Job] = []
+    lock = threading.Lock()
+
+    def submit(request):
+        job = server.submit(request)
+        with lock:
+            jobs.append(job)
+
+    threads = [threading.Thread(target=submit, args=(request,))
+               for request in requests]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(jobs) == server.requests == len(requests)
+    assert server.store_hits == 8
+    assert server.coalesced == len(requests) - 8 - len(missing)
+    assert server.queue.counts()["queued"] == len(missing)
+    try:
+        server.start()
+        for job in jobs:
+            assert server.wait(job, 60).status == "done"
+    finally:
+        server.stop()
+    assert sorted(spec.name for spec in calls) == ["aloha-dense", "fig23"]
+
+
+# ---------------------------------------------------------------------------
 # HTTP front end
 # ---------------------------------------------------------------------------
 
@@ -280,6 +457,61 @@ def test_http_rejects_bad_jobs_and_unknown_digests(http_server):
     with pytest.raises(ServeError) as missing:
         client.status("f" * 64)
     assert missing.value.status == 404
+
+
+def _raw_request(base_url: str, method: str, path: str,
+                 body: bytes | None = None) -> tuple[int, bytes]:
+    import http.client
+    from urllib.parse import urlsplit
+
+    address = urlsplit(base_url)
+    connection = http.client.HTTPConnection(address.hostname, address.port,
+                                            timeout=120)
+    try:
+        connection.request(method, path, body=body)
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize("request_", [
+    {"kind": "figure", "name": "fig5"},
+    {"kind": "scenario", "name": "aloha-dense"},
+    {"kind": "waveform", "name": "modes"},
+], ids=["figure", "scenario", "waveform"])
+def test_http_result_bytes_equal_the_full_view_encoding(http_server, request_):
+    """Spliced replies are byte-identical to encoding the whole view."""
+    client, job_server = http_server
+    body = json.dumps(request_).encode()
+    for provenance in ("miss", "store"):     # computed, then a memo hit
+        status, raw = _raw_request(client.base_url, "POST",
+                                   "/jobs?wait=1&timeout=120", body)
+        assert status == 200
+        reply = json.loads(raw)
+        assert list(reply)[-1] == "result"
+        assert reply["provenance"] == provenance
+        job = job_server.get(reply["digest"])
+        view = {name: value for name, value in reply.items() if name != "result"}
+        assert raw == json.dumps({**view, "result": job.payload}).encode()
+        status, raw = _raw_request(client.base_url, "GET",
+                                   f"/jobs/{job.digest}/result")
+        assert status == 200
+        assert raw == json.dumps({"digest": job.digest,
+                                  "provenance": provenance,
+                                  "result": job.payload}).encode()
+
+
+@pytest.mark.parametrize("timeout", ["abc", "nan", "inf", "-1"])
+def test_http_bad_timeout_is_rejected_before_queueing(http_server, timeout):
+    client, job_server = http_server
+    status, raw = _raw_request(
+        client.base_url, "POST", f"/jobs?wait=1&timeout={timeout}",
+        json.dumps({"kind": "figure", "name": "fig23"}).encode())
+    assert status == 400
+    assert "timeout" in json.loads(raw)["error"]
+    assert job_server.requests == 0
+    assert sum(job_server.queue.counts().values()) == 0
 
 
 def test_http_no_wait_returns_202_then_completes(http_server):
