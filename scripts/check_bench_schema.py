@@ -21,17 +21,20 @@ The checker enforces two things:
   precision fast path ≥ 1.2x (lowered from 1.5x: the float64 reference
   itself now runs through the fused staging, so the denominator got
   faster while the fast path's absolute time also dropped); cost-model
-  ``parallel_vs_serial`` ≥ 0.98 on **every** payload — the adaptive
-  schedule may never lose more than 2 % to the best static choice, on any
+  ``parallel_vs_serial`` ≥ 0.98 on **every** payload — the ``parallel=True``
+  routing rule may never lose more than 2 % to the serial schedule, on any
   host; forced-parallel BatchRunner ≥ 2x whenever the payload recorded
   ``gate_enforced: true``; and the result store: warm passes must serve
   ≥ 95 % of artefacts on every payload and be ≥ 5x faster than the cold
   pass on full runs whose first pass was genuinely cold
-  (``prewarmed: false``).  The ``chaos`` section carries hard robustness
-  gates on every payload: ``jobs_lost == 0``, ``results_identical``,
-  ``duplicate_computations == 1`` under an injected worker crash, at
-  least five distinct fault kinds fired, and a deterministic same-seed
-  rerun.  The ``report`` section is *optional* (older payloads predate
+  (``prewarmed: false``).  The ``serve`` and ``chaos`` sections are graded
+  on every payload by :func:`repro.serve.loadgen.gate`, the function the
+  load driver's own command line exits on: hit-or-coalesced ratio ≥ 0.95,
+  byte-identical payloads and one computation per identical burst, plus,
+  under the seeded fault plan, ``jobs_lost == 0``, at least five fault
+  kinds fired, a deterministic same-seed rerun, an admission-control
+  rejection, a ``degraded`` health report and a recovered corrupt entry.
+  The ``report`` section is *optional* (older payloads predate
   the report generator), but when one is recorded it must prove the
   report contract: at least one artefact rendered,
   ``byte_reproducible: true`` (two renders of the same store are
@@ -56,6 +59,10 @@ import json
 import math
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.serve import loadgen  # noqa: E402
 
 #: (section path, gate floor, full-run-only) for the recorded speedups.
 #: The waveform gate compares the vectorized kernel against the *warm-plan*
@@ -90,11 +97,6 @@ MIN_PARALLEL_VS_SERIAL = 0.98
 
 #: Upper bound on the precision fast paths' SER deviation from float64.
 MAX_SER_DEVIATION = 0.05
-
-#: Floor on serve.hit_or_coalesced_ratio — enforced on every payload,
-#: smoke or full: on the zipf-repeated mix the daemon must answer at
-#: least this fraction of requests from the store or by coalescing.
-MIN_HIT_OR_COALESCED = 0.95
 
 
 def _lookup(payload: dict, path: tuple[str, ...]):
@@ -187,51 +189,9 @@ def validate(payload: dict, *, smoke: bool) -> list[str]:
         errors.append(f"gate: store.hit_fraction {hit_fraction!r} below the "
                       "0.95 floor")
 
-    serve = payload["serve"]
-    if serve.get("results_identical") is not True:
-        errors.append("serve: results_identical must be true (every repeated "
-                      "request must return byte-identical payloads)")
-    if not _is_speedup(serve.get("throughput_rps")):
-        errors.append("serve: throughput_rps missing or not finite")
-    ratio = serve.get("hit_or_coalesced_ratio")
-    # The serve-layer point of existence: on a zipf-repeated mix, ≥95% of
-    # requests must be answered without a fresh computation.  Applies to
-    # every payload, smoke included.
-    if not isinstance(ratio, (int, float)) or ratio < MIN_HIT_OR_COALESCED:
-        errors.append(f"gate: serve.hit_or_coalesced_ratio {ratio!r} below "
-                      f"the {MIN_HIT_OR_COALESCED} floor")
-    if serve.get("duplicate_computations") != 1:
-        errors.append("gate: serve.duplicate_computations must be exactly 1 "
-                      "(single-flight: a burst of identical requests "
-                      f"computed {serve.get('duplicate_computations')!r} "
-                      "times)")
-
-    chaos = payload["chaos"]
-    # The robustness invariants: under the injected fault schedule
-    # (including a worker crash mid-burst) the daemon may never lose an
-    # accepted job, never serve different bytes than the fault-free run,
-    # and never compute a coalesced burst more than once.  All three are
-    # hard gates on every payload — a flaky pass here is a correctness
-    # regression, not a perf regression.
-    if chaos.get("jobs_lost") != 0:
-        errors.append(f"gate: chaos.jobs_lost must be 0 "
-                      f"(got {chaos.get('jobs_lost')!r})")
-    if chaos.get("results_identical") is not True:
-        errors.append("gate: chaos.results_identical must be true (payloads "
-                      "served under faults must match the fault-free run "
-                      "byte for byte)")
-    if chaos.get("duplicate_computations") != 1:
-        errors.append("gate: chaos.duplicate_computations must be exactly 1 "
-                      "(single-flight under injected worker crash; got "
-                      f"{chaos.get('duplicate_computations')!r})")
-    kinds = chaos.get("fault_kinds")
-    if not isinstance(kinds, list) or len(kinds) < 5:
-        errors.append("chaos: fault_kinds must list at least 5 distinct "
-                      f"injected kinds (got {kinds!r})")
-    if chaos.get("repeat_stats_identical") is not True:
-        errors.append("gate: chaos.repeat_stats_identical must be true "
-                      "(same seed must reproduce the same schedule and "
-                      "stats)")
+    for kind in ("serve", "chaos"):
+        errors.extend(f"gate: {violation}"
+                      for violation in loadgen.gate(kind, payload[kind]))
 
     report = payload.get("report")
     # The report section is optional (older payloads predate the report

@@ -55,12 +55,13 @@ single passes because its cold/warm timings are stateful.
   job can rerun the benchmark and prove cross-run reuse;
   ``--expect-store-warm`` then fails the run unless the *first* pass was
   already served from the store (the CI warm-rerun assertion);
-* ``serve`` — a live daemon under a zipf-repeated query mix (throughput,
-  latency percentiles, hit-or-coalesced ratio, single-flight burst);
-* ``chaos`` — the seeded fault-injection harness
-  (``scripts/chaos_test.py``): six fault kinds replayed against a live
-  daemon, gated on zero lost jobs, byte-identical payloads, exactly one
-  computation under the coalescing burst, and a deterministic rerun;
+* ``serve`` — :func:`repro.serve.loadgen.run_serve`: a live daemon under
+  a zipf-repeated query mix (throughput, latency percentiles,
+  hit-or-coalesced ratio), then a single-flight burst;
+* ``chaos`` — :func:`repro.serve.loadgen.run_chaos`: six seeded fault
+  kinds replayed against a live daemon, twice, gated on zero lost jobs,
+  payloads byte-identical to the one-shot output, exactly one computation
+  under the coalescing burst, and a deterministic rerun;
 * ``report`` — the store-backed report generator: a fresh store is
   populated through the incremental-evaluation machinery and the full
   report (markdown, HTML and ``EXPERIMENTS.md``) is rendered twice, gated
@@ -109,6 +110,7 @@ from repro.channel.interference import InterferenceEnvironment, Jammer  # noqa: 
 from repro.core.config import SaiyanConfig, SaiyanMode  # noqa: E402
 from repro.lora.parameters import DownlinkParameters  # noqa: E402
 from repro.net.channel_hopping import ChannelHopController, ChannelPlan  # noqa: E402
+from repro.serve import loadgen  # noqa: E402
 from repro.sim.batch import BatchRunner, simulate_link_packets  # noqa: E402
 from repro.sim.link_sim import SaiyanLinkModel  # noqa: E402
 from repro.sim.network import FeedbackNetworkSimulator  # noqa: E402
@@ -670,100 +672,6 @@ def benchmark_store(*, smoke: bool, store_dir: str | None = None) -> dict:
             shutil.rmtree(root, ignore_errors=True)
 
 
-def benchmark_serve(*, smoke: bool) -> dict:
-    """Serve daemon under a zipf repeated mix: throughput + coalescing.
-
-    Boots a real daemon (HTTP on loopback, ephemeral port, throwaway
-    store) and replays the MDS2-style repeated query mix through
-    concurrent clients; then probes single-flight directly by firing a
-    burst of identical requests at an uncached job and counting
-    computations.  The gates (hit-or-coalesced ratio, byte-identity,
-    exactly-one duplicate computation) live in check_bench_schema.py.
-    """
-    import shutil
-    import tempfile
-    import threading
-
-    from repro.serve.client import ServeClient
-    from repro.serve.loadgen import SMOKE_ARTEFACTS, figure_templates, run_load
-    from repro.serve.server import JobServer, serve_http
-    from repro.sim.experiments import FIGURE_DRIVERS
-    from repro.sim.store import ResultStore
-
-    requests = 240 if smoke else 800
-    clients = 8
-    artefacts = (list(SMOKE_ARTEFACTS) if smoke
-                 else sorted(FIGURE_DRIVERS))
-    root = Path(tempfile.mkdtemp(prefix="repro-serve-bench-"))
-    print(f"serve daemon under load ({len(artefacts)} templates, "
-          f"{requests} requests, {clients} clients):")
-    job_server = JobServer(ResultStore(root), workers=2)
-    httpd = serve_http(job_server)
-    pump = threading.Thread(target=httpd.serve_forever, daemon=True)
-    pump.start()
-    try:
-        host, port = httpd.server_address[:2]
-        client = ServeClient(f"http://{host}:{port}")
-        metrics = run_load(client, figure_templates(artefacts),
-                           requests=requests, clients=clients, seed=0)
-
-        # Single-flight probe: a burst of identical requests for a job the
-        # store has never seen must trigger exactly one computation —
-        # later arrivals coalesce while it runs, or hit the store after.
-        probe = {"kind": "scenario", "name": "hopping-jammed"}
-        before = client.stats()["serve"]["computed"]
-        burst = [threading.Thread(
-            target=lambda: client.submit(probe, wait=True, timeout=300))
-            for _ in range(16)]
-        for thread in burst:
-            thread.start()
-        for thread in burst:
-            thread.join()
-        duplicate_computations = client.stats()["serve"]["computed"] - before
-
-        print(f"  throughput {metrics['throughput_rps']:8.1f} req/s   "
-              f"p50 {metrics['latency_p50_ms']:6.2f} ms   "
-              f"hit-or-coalesced {metrics['hit_or_coalesced_ratio']:.3f}   "
-              f"(byte-identical: {metrics['results_identical']})")
-        print(f"  single-flight burst: 16 identical requests -> "
-              f"{duplicate_computations} computation(s)")
-        return {**metrics,
-                "artefacts": len(artefacts),
-                "duplicate_computations": duplicate_computations}
-    finally:
-        httpd.shutdown()
-        httpd.server_close()
-        job_server.stop()
-        shutil.rmtree(root, ignore_errors=True)
-
-
-def benchmark_chaos(*, smoke: bool) -> dict:
-    """Seeded fault-injection invariants (``scripts/chaos_test.py``).
-
-    Replays the harness's deterministic fault schedule — worker crash,
-    slow shard, store write error, corrupt store entry, queue lock
-    contention, HTTP disconnect — against a live self-hosted daemon and
-    records the robustness invariants the schema gates: no accepted job
-    lost, payloads byte-identical to the fault-free baseline, exactly one
-    computation under the coalescing burst even with a worker dying
-    mid-flight, and a bit-reproducible rerun of the same seed.
-    """
-    import chaos_test
-
-    print("chaos harness (seeded fault schedule against a live daemon):")
-    record = chaos_test.run_chaos(7, smoke=smoke)
-    print(f"  {record['faults_total']} faults across "
-          f"{len(record['fault_kinds'])} kinds   "
-          f"jobs lost {record['jobs_lost']}   "
-          f"duplicates {record['duplicate_computations']}   "
-          f"byte-identical {record['results_identical']}   "
-          f"deterministic rerun {record['repeat_stats_identical']}")
-    print(f"  admission: {record['rejected_requests']} rejected with "
-          f"Retry-After, degraded /healthz observed "
-          f"{record['degraded_observed']}")
-    return record
-
-
 def benchmark_report(*, smoke: bool) -> dict:
     """Report generator: double render over a fresh store (byte-identical).
 
@@ -893,10 +801,9 @@ def main(argv=None) -> int:
                          lambda: benchmark_store(smoke=args.smoke,
                                                  store_dir=args.store_dir),
                          profiles)
-    serve = _run_section("serve",
-                         lambda: benchmark_serve(smoke=args.smoke),
+    serve = _run_section("serve", lambda: loadgen.run_serve(smoke=args.smoke),
                          profiles)
-    chaos = _run_section("chaos", lambda: benchmark_chaos(smoke=args.smoke),
+    chaos = _run_section("chaos", lambda: loadgen.run_chaos(smoke=args.smoke),
                          profiles)
     report = _run_section("report",
                           lambda: benchmark_report(smoke=args.smoke),
