@@ -72,7 +72,8 @@ import sys
 from collections.abc import Sequence
 
 # Each handler imports the modules it needs, so ``repro --help`` loads no
-# engine, NumPy or SciPy, and only the commands that filter pay for SciPy.
+# engine, NumPy or SciPy.  No default command loads SciPy at all: FIR design,
+# FIR filtering and correlation are NumPy code (see ``repro.dsp.filters``).
 
 
 def _shards_arg(value: str) -> int | str:
@@ -606,28 +607,28 @@ def _run_serve(args: argparse.Namespace) -> int:
     from repro.exceptions import ConfigurationError
 
     if args.action == "run":
-        from repro.dsp.filters import scipy_signal
         from repro.serve.server import JobServer, serve_http
         from repro.sim.store import open_store
 
-        # Pay the SciPy import before listening, not inside the first
-        # computing request (and so that forked pool workers inherit it).
-        scipy_signal()
         job_server = JobServer(open_store(args.store_dir),
                                workers=args.workers,
                                max_queue_depth=args.max_queue_depth,
                                job_deadline_s=args.job_deadline)
         httpd = serve_http(job_server, host=args.host, port=args.port)
         host, port = httpd.server_address[:2]
-        print(f"repro serve listening on http://{host}:{port} "
-              f"(store: {job_server.store.root}, workers: {args.workers})",
-              file=sys.stderr)
         try:
+            # Inside the ``try``: a client that stops the daemon as soon as
+            # it reads this line must reach the clean shutdown below.
+            print(f"repro serve listening on http://{host}:{port} "
+                  f"(store: {job_server.store.root}, workers: {args.workers})",
+                  file=sys.stderr)
             httpd.serve_forever()
         except KeyboardInterrupt:
             pass
         finally:
-            httpd.shutdown()
+            # serve_forever ran (or never started) in this thread, so it has
+            # returned: no httpd.shutdown(), which would wait forever for a
+            # loop that never started.
             httpd.server_close()
             job_server.stop()
         return 0

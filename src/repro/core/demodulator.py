@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.config import SaiyanConfig, SaiyanMode
 from repro.core.correlation import CorrelationDemodulator
 from repro.core.frontend import AnalogFrontEnd, FrontEndOutput
-from repro.core.peak_detection import PeakPositionDecoder
+from repro.core.peak_detection import PeakPositionDecoder, peak_position_to_symbol
 from repro.core.quantizer import SaiyanQuantizer, ThresholdPair
 from repro.dsp.signals import Signal
 from repro.exceptions import ConfigurationError, DemodulationError
@@ -116,7 +116,8 @@ class _SaiyanDemodulatorBase:
             win_bin = binary[start:stop]
             win_env = envelope_grid[start:stop]
             observation = self.peak_decoder.locate_peak(win_bin, win_env)
-            symbol = self.peak_decoder.decode_symbol(win_bin, win_env)
+            symbol = peak_position_to_symbol(min(observation.fraction, 1.0),
+                                             self.peak_decoder.alphabet_size)
             symbols[i] = symbol
             confidence = 1.0 if observation.from_comparator else 0.5
             decisions.append(SymbolDecision(symbol=symbol, confidence=confidence,

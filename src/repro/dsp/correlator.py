@@ -29,7 +29,7 @@ def cross_correlate(signal: Signal, template: Signal | np.ndarray) -> np.ndarray
             f"template ({template_samples.size} samples) is longer than the "
             f"signal ({samples.size} samples)"
         )
-    corr = scipy_signal().correlate(samples, template_samples, mode="valid")
+    corr = np.correlate(samples, template_samples, mode="valid")
     return np.abs(corr)
 
 
@@ -44,9 +44,8 @@ def normalized_correlation(signal: Signal, template: Signal | np.ndarray) -> np.
     samples = np.asarray(signal.samples)
     corr = cross_correlate(signal, template)
     template_energy = np.sqrt(np.sum(np.abs(template_samples) ** 2))
-    window_power = scipy_signal().correlate(np.abs(samples) ** 2,
-                                            np.ones(template_samples.size),
-                                            mode="valid")
+    window_power = np.correlate(np.abs(samples) ** 2,
+                                np.ones(template_samples.size), mode="valid")
     window_energy = np.sqrt(np.maximum(window_power, 1e-30))
     denom = np.maximum(window_energy * template_energy, 1e-30)
     return np.clip(corr / denom, 0.0, 1.0)

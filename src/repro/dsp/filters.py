@@ -2,13 +2,16 @@
 
 The hardware layer models analog filters (the SAW filter, the IF band-pass
 amplifier, the output low-pass filter) on top of these primitives.  FIR
-design uses windowed-sinc filters from scipy; the frequency-domain gain
-helper applies an arbitrary magnitude response, which is how the measured
-SAW response from Figure 5 is imposed onto a waveform.
+design uses Hamming-windowed-sinc filters and FIR application uses
+``np.convolve``, both written in NumPy to give the same bits as SciPy's
+``firwin`` and ``lfilter``; the frequency-domain gain helper applies an
+arbitrary magnitude response, which is how the measured SAW response from
+Figure 5 is imposed onto a waveform.
 
-SciPy is imported on first use through :func:`scipy_signal`, not at module
-import: it costs over a second, and most entry points (``repro --help``,
-store hits, the analytic figures) never filter a waveform.
+SciPy costs about a second and 45 MB to import, so no default path loads
+it.  The opt-in paths that do (the ``precision="fast"`` FFT helpers, the
+spectrum and resampling routines, the matched filter) import it on first
+use through :func:`scipy_signal`.
 """
 
 from __future__ import annotations
@@ -34,9 +37,8 @@ FIR_PLAN_CACHE = PlanCache("fir-plans", maxsize=128)
 def scipy_signal():
     """``scipy.signal``, imported on the first call.
 
-    Every SciPy call in :mod:`repro.dsp` goes through here.  Long-lived
-    processes (the fabric's pool, ``repro serve run``) call it up front so
-    that forked workers and the first request do not pay the import.
+    Every SciPy call in :mod:`repro.dsp` goes through here; none of them
+    is on a default path.
     """
     import scipy.signal
 
@@ -67,8 +69,7 @@ def fir_lowpass(cutoff_hz: float, sample_rate: float, *, num_taps: int = 129) ->
         )
     key = ("lowpass", float(cutoff_hz), float(sample_rate), num_taps)
     return FIR_PLAN_CACHE.get(
-        key, lambda: freeze_array(
-            scipy_signal().firwin(num_taps, cutoff_hz, fs=sample_rate)))
+        key, lambda: freeze_array(_firwin(num_taps, 0.0, cutoff_hz, sample_rate)))
 
 
 def fir_bandpass(low_hz: float, high_hz: float, sample_rate: float, *,
@@ -86,9 +87,43 @@ def fir_bandpass(low_hz: float, high_hz: float, sample_rate: float, *,
         )
     key = ("bandpass", float(low_hz), float(high_hz), float(sample_rate), num_taps)
     return FIR_PLAN_CACHE.get(
-        key, lambda: freeze_array(
-            scipy_signal().firwin(num_taps, [low_hz, high_hz], pass_zero=False,
-                                  fs=sample_rate)))
+        key, lambda: freeze_array(_firwin(num_taps, low_hz, high_hz, sample_rate)))
+
+
+def _firwin(num_taps: int, low_hz: float, high_hz: float,
+            sample_rate: float) -> np.ndarray:
+    """Hamming-windowed-sinc taps with one pass band ``[low_hz, high_hz]``.
+
+    ``scipy.signal.firwin(num_taps, cutoff, fs=sample_rate)`` (SciPy 1.17),
+    repeated operation for operation so the taps are the same bits; a
+    low-pass band starts at ``low_hz = 0``.
+    """
+    left, right = np.asarray([low_hz, high_hz], dtype=float) / (0.5 * float(sample_rate))
+    m = np.arange(num_taps, dtype=float) - 0.5 * (num_taps - 1)
+    h = right * np.sinc(right * m)
+    h -= left * np.sinc(left * m)
+    # scipy.signal.windows.general_cosine(num_taps, [0.54, 1 - 0.54]).
+    fac = np.linspace(-np.pi, np.pi, num_taps)
+    window = 0.54 * np.cos(0 * fac)
+    window += (1.0 - 0.54) * np.cos(1 * fac)
+    h *= window
+    # Unit gain at the centre of the pass band (at DC for a low-pass).
+    scale_frequency = 0.0 if left == 0 else 0.5 * (left + right)
+    h /= np.sum(h * np.cos(np.pi * m * scale_frequency))
+    return h
+
+
+def _lfilter(taps: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """``scipy.signal.lfilter(taps, [1.0], samples)`` for a 1-D ``samples``.
+
+    For an FIR filter ``lfilter`` returns the first ``samples.size`` points
+    of ``np.convolve(taps, samples)`` with both cast to their result dtype.
+    The argument order is part of the contract: ``np.convolve`` puts the
+    longer argument first and keeps the given order on a tie, and the order
+    fixes how each sum accumulates.
+    """
+    dtype = np.result_type(taps, samples)
+    return np.convolve(taps.astype(dtype), samples.astype(dtype, copy=False))[: samples.size]
 
 
 def apply_fir(signal: Signal, taps: np.ndarray) -> Signal:
@@ -105,19 +140,17 @@ def apply_fir(signal: Signal, taps: np.ndarray) -> Signal:
     samples = np.asarray(signal.samples)
     delay = (taps.size - 1) // 2
     padded = np.concatenate([samples, np.zeros(delay, dtype=samples.dtype)])
-    filtered = scipy_signal().lfilter(taps, [1.0], padded)[delay:]
-    return signal.with_samples(filtered)
+    return signal.with_samples(_lfilter(taps, padded)[delay:])
 
 
 def apply_fir_stack(stack: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Batched :func:`apply_fir`: filter every row of a 2-D sample stack.
 
     Row ``i`` of the result is bit-identical to
-    ``apply_fir(Signal(stack[i], fs), taps)`` — ``scipy.signal.lfilter``
-    applies the same direct-form recursion per row whether it runs on a 1-D
-    array or along the last axis of a 2-D array, and the zero-padding /
-    group-delay compensation here mirrors the 1-D helper exactly.  The batch
-    engines rely on that equivalence for engine bit-parity.
+    ``apply_fir(Signal(stack[i], fs), taps)``: each row goes through the
+    same ``np.convolve`` call, and the zero-padding / group-delay
+    compensation here mirrors the 1-D helper exactly.  The batch engines
+    rely on that equivalence for engine bit-parity.
     """
     taps = np.asarray(taps, dtype=float)
     if taps.ndim != 1 or taps.size < 1:
@@ -128,7 +161,10 @@ def apply_fir_stack(stack: np.ndarray, taps: np.ndarray) -> np.ndarray:
     delay = (taps.size - 1) // 2
     padded = np.concatenate(
         [stack, np.zeros((stack.shape[0], delay), dtype=stack.dtype)], axis=1)
-    return scipy_signal().lfilter(taps, [1.0], padded, axis=1)[:, delay:]
+    out = np.empty(padded.shape, dtype=np.result_type(taps, padded))
+    for row, samples in zip(out, padded):
+        row[:] = _lfilter(taps, samples)
+    return out[:, delay:]
 
 
 def apply_fir_stack_gapped(stack: np.ndarray, taps: np.ndarray,
@@ -140,14 +176,14 @@ def apply_fir_stack_gapped(stack: np.ndarray, taps: np.ndarray,
     *gap*).  The gap lets the whole stack be convolved as **one** flat 1-D
     ``np.convolve`` call — the zeros flush the overlap between consecutive
     rows, so slicing the flat result back into rows recovers each row's own
-    convolution.  One long convolution beats ``lfilter``'s row loop by
-    ~40 % on the mega-batch shapes, which is why the fused kernel stages
+    convolution.  One long convolution beats the per-row loop by ~40 % on
+    the mega-batch shapes, which is why the fused kernel stages
     its detected envelopes in this layout.
 
     Bit-identity with ``apply_fir_stack(stack[:, :row_length], taps)`` needs
     one repair: for rows after the first, the flat pass computes full
     ``len(taps)``-term windows across the gap (all-zero terms, but present
-    in the accumulation), while the per-row recursion computes *short*
+    in the accumulation), while the per-row convolution computes *short*
     boundary sums for the first ``len(taps) - 1 - delay`` output columns.
     Identical values, different floating-point accumulation grouping — so
     those head columns are re-patched with a per-row boundary convolution.
@@ -183,10 +219,10 @@ def apply_fir_stack_fast(stack: np.ndarray, taps: np.ndarray) -> np.ndarray:
 
     Computes the same linear convolution (with the same group-delay
     compensation) through ``scipy.signal.fftconvolve``, which — unlike
-    ``lfilter`` — preserves float32/complex64 inputs instead of upcasting
-    to double.  The result is *numerically close* to :func:`apply_fir_stack`
-    but **not bitwise-identical** (FFT convolution rounds differently from
-    the direct-form recursion), so this helper belongs only on
+    :func:`apply_fir_stack` — preserves float32/complex64 inputs instead of
+    upcasting to double.  The result is *numerically close* to
+    :func:`apply_fir_stack` but **not bitwise-identical** (FFT convolution
+    rounds differently from the direct sums), so this helper belongs only on
     tolerance-gated fast paths, never on engine bit-parity paths.
     """
     taps = np.asarray(taps)

@@ -186,10 +186,6 @@ class ExecutionFabric:
             if self._executor is not None and min_workers > self._active_width:
                 self.shutdown()
             if self._executor is None:
-                # Forked workers inherit SciPy instead of each importing it.
-                from repro.dsp.filters import scipy_signal
-
-                scipy_signal()
                 self._active_width = max(self.max_workers, min_workers)
                 self._executor = ProcessPoolExecutor(max_workers=self._active_width)
                 self.pools_created += 1

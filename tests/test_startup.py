@@ -1,7 +1,9 @@
 """Cold-start guards: what ``import repro`` and ``repro --help`` load.
 
-SciPy alone costs over a second to import, so the package imports it on
-first use and the CLI imports each subcommand's modules in its handler.
+SciPy alone costs about a second to import, so no default command, pool
+worker or ``repro serve run`` daemon loads it; only the opt-in paths
+(``precision="fast"``, spectra, resampling) import it, on first use.  The
+CLI imports each subcommand's modules in its handler.
 The checks that observe ``sys.modules`` run in a fresh interpreter, because
 this test process has long since imported NumPy, SciPy and the engines.
 """
@@ -68,20 +70,66 @@ def test_help_loads_neither_numpy_nor_scipy():
                 if name.split(".")[0] in ("numpy", "scipy")], loaded
 
 
-def test_fabric_executor_imports_scipy_before_forking():
+def _run_repro_without_scipy(*argv: str) -> list[str]:
+    """Run ``python -m repro ARGV`` with ``scipy`` blocked; return the
+    ``scipy`` modules it loaded.
+
+    The block makes any SciPy import fail, in forked pool workers too, so
+    the command exits non-zero if a default path still needs SciPy.
+    """
+    result = _python("-c", (
+        "import json, runpy, sys\n"
+        "sys.modules['scipy'] = None\n"
+        f"sys.argv = ['repro', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('repro', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as stop:\n"
+        "    assert not stop.code, stop.code\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.split('.')[0] == 'scipy'\n"
+        "                        and sys.modules[m] is not None)))\n"),
+        timeout=300.0)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_fabric_executor_leaves_scipy_unloaded():
     result = _python("-c", (
         "import sys\n"
         "from repro.sim.execution import get_fabric\n"
-        "before = 'scipy.signal' in sys.modules\n"
         "fabric = get_fabric()\n"
         "fabric.executor()\n"
-        "print(before, 'scipy.signal' in sys.modules)\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
         "fabric.shutdown()\n"))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False"]
+
+
+def test_reproduce_loads_no_scipy(tmp_path):
+    assert _run_repro_without_scipy(
+        "reproduce", "--store-dir", str(tmp_path / "store")) == []
+
+
+def test_waveform_sweep_loads_no_scipy():
+    assert _run_repro_without_scipy("waveform", "--sweep", "modes") == []
+
+
+def test_fast_precision_loads_scipy_on_first_use():
+    result = _python("-c", (
+        "import dataclasses, sys\n"
+        "from repro.sim.waveform_engine import WAVEFORM_SWEEPS, run_sweep\n"
+        "spec = dataclasses.replace(WAVEFORM_SWEEPS['modes'], num_symbols=4,\n"
+        "                           symbols_per_burst=4)\n"
+        "loaded = lambda: 'scipy.signal' in sys.modules\n"
+        "run_sweep(spec, shards=1)\n"
+        "before = loaded()\n"
+        "run_sweep(spec, shards=1, precision='fast')\n"
+        "print(before, loaded())\n"))
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True"]
 
 
-def test_serve_run_imports_scipy_before_listening(tmp_path):
+def test_serve_run_listens_without_loading_scipy(tmp_path):
     process = subprocess.Popen(
         [sys.executable, "-X", "importtime", "-m", "repro", "serve", "run",
          "--port", "0", "--store-dir", str(tmp_path / "store")],
@@ -103,8 +151,8 @@ def test_serve_run_imports_scipy_before_listening(tmp_path):
         process.kill()
     assert lines and "listening on" in lines[-1], "".join(lines[-20:])
     assert process.returncode == 0
-    scipy_signal = re.compile(r"\|\s*scipy\.signal$")
-    assert any(scipy_signal.search(line.rstrip()) for line in lines[:-1])
+    scipy_import = re.compile(r"\|\s*scipy(\.|$)")
+    assert not [line for line in lines if scipy_import.search(line.rstrip())]
 
 
 def test_reexports_are_the_defining_modules_objects():
