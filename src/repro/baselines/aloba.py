@@ -26,6 +26,17 @@ from repro.utils.validation import ensure_positive
 ALOBA_DETECTION_SENSITIVITY_DBM: float = ENVELOPE_DETECTOR_SENSITIVITY_DBM
 
 
+def longest_run(mask: np.ndarray) -> int:
+    """Length of the longest run of consecutive true samples in ``mask``.
+
+    Runs start where the zero-padded mask steps up and end where it steps
+    down, so their lengths come from one ``np.diff``.
+    """
+    steps = np.diff(np.concatenate(([0], np.asarray(mask, dtype=np.int8), [0])))
+    runs = np.flatnonzero(steps == -1) - np.flatnonzero(steps == 1)
+    return int(runs.max()) if runs.size else 0
+
+
 class AlobaDetector:
     """Moving-average RSSI-pattern packet detector of an Aloba tag.
 
@@ -108,15 +119,7 @@ class AlobaDetector:
         required = int(round(self.min_duration_symbols * n_sym))
         if required <= 0:
             return bool(np.any(above))
-        # Longest run of consecutive samples above the threshold.
-        longest = 0
-        current = 0
-        for flag in above:
-            current = current + 1 if flag else 0
-            longest = max(longest, current)
-            if longest >= required:
-                return True
-        return False
+        return longest_run(above) >= required
 
     # ------------------------------------------------------------------
     @classmethod

@@ -91,15 +91,29 @@ class CorrelationDemodulator:
     def _score_centered(self, centered: np.ndarray) -> np.ndarray:
         """Template scores of one already zero-mean window.
 
-        The single definition of the scoring (and of the zero-energy
+        The scalar definition of the scoring (and of the zero-energy
         convention: no energy -> all-zero scores, i.e. symbol 0 with
-        correlation 0), shared by the per-window and the batched decision
-        paths.
+        correlation 0); :meth:`score_windows` equals it row by row, bit for
+        bit.
         """
         norm = np.linalg.norm(centered)
         if norm <= 0:
             return np.zeros(self._templates.shape[0])
         return self._templates @ (centered / norm)
+
+    def score_windows(self, centered: np.ndarray) -> np.ndarray:
+        """Template scores of a ``(windows, samples)`` stack of zero-mean windows.
+
+        A batch of matrix-vector products: per window, the norm is one
+        ``dot`` and the scores one ``gemv``, the same BLAS calls (and so the
+        same bits) as :meth:`_score_centered` makes for that window.  A
+        single GEMM over all windows would round differently.
+        """
+        norms = np.sqrt(centered[:, None, :] @ centered[:, :, None])[:, :, 0]
+        silent = norms <= 0
+        scaled = centered / np.where(silent, 1.0, norms)
+        scores = (self._templates[None] @ scaled[:, :, None])[:, :, 0]
+        return np.where(silent, 0.0, scores)
 
     def correlate_window(self, window: np.ndarray) -> np.ndarray:
         """Return the normalised correlation of one envelope window with each template."""
@@ -125,28 +139,32 @@ class CorrelationDemodulator:
             raise ConfigurationError(f"expected a Signal, got {type(envelope).__name__}")
         if num_symbols < 1:
             raise DemodulationError(f"num_symbols must be >= 1, got {num_symbols}")
-        samples = np.asarray(envelope.samples, dtype=float)
+        symbols, correlations = self.demodulate_stack(
+            np.asarray(envelope.samples, dtype=float)[None], num_symbols)
+        return symbols[0], correlations[0]
+
+    def demodulate_stack(self, envelopes: np.ndarray,
+                         num_symbols: int) -> tuple[np.ndarray, np.ndarray]:
+        """Demodulate ``num_symbols`` windows of every row of an envelope stack.
+
+        Returns ``(symbols, correlations)``, each ``(rows, num_symbols)``.
+        Row-mean centring and :meth:`score_windows` both work per window,
+        so row ``i`` equals :meth:`demodulate` of ``envelopes[i]``.
+        """
+        envelopes = np.asarray(envelopes, dtype=float)
         n = self.samples_per_symbol
-        if samples.size < n * num_symbols:
+        if envelopes.shape[1] < n * num_symbols:
             raise DemodulationError(
                 f"need {n * num_symbols} envelope samples for {num_symbols} symbols, "
-                f"got {samples.size}"
+                f"got {envelopes.shape[1]}"
             )
-        # Centre all windows in one block operation (a batched row mean is
-        # bit-identical to the per-window np.mean), then keep the norm /
-        # template matvec per window exactly as correlate_window computes
-        # them — BLAS matrix-matrix products round differently from the
-        # per-window matvec, so those must not be batched.
-        block = samples[: n * num_symbols].reshape(num_symbols, n)
-        centered = block - np.mean(block, axis=1)[:, None]
-        symbols = np.empty(num_symbols, dtype=np.int64)
-        correlations = np.empty(num_symbols, dtype=float)
-        for i in range(num_symbols):
-            scores = self._score_centered(centered[i])
-            winner = int(np.argmax(scores))
-            symbols[i] = winner
-            correlations[i] = float(scores[winner])
-        return symbols, correlations
+        shape = (envelopes.shape[0], num_symbols)
+        block = envelopes[:, : n * num_symbols].reshape(*shape, n)
+        centered = block - np.mean(block, axis=2, keepdims=True)
+        scores = self.score_windows(centered.reshape(-1, n))
+        symbols = np.argmax(scores, axis=1)
+        correlations = scores[np.arange(symbols.size), symbols]
+        return symbols.reshape(shape), correlations.reshape(shape)
 
     # ------------------------------------------------------------------
     def detect_packet(self, envelope: Signal, *, threshold: float | None = None,

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.config import SaiyanConfig, SaiyanMode
 from repro.core.correlation import CorrelationDemodulator
 from repro.core.frontend import AnalogFrontEnd, FrontEndOutput
-from repro.core.peak_detection import PeakPositionDecoder, peak_position_to_symbol
+from repro.core.peak_detection import PeakPositionDecoder, symbol_windows
 from repro.core.quantizer import SaiyanQuantizer, ThresholdPair
 from repro.dsp.signals import Signal
 from repro.exceptions import ConfigurationError, DemodulationError
@@ -84,45 +84,46 @@ class _SaiyanDemodulatorBase:
         return symbols_to_bits(symbols, self.config.downlink.bits_per_chirp)
 
     # ------------------------------------------------------------------
-    def _decide_peak_position(self, envelope: Signal, num_symbols: int, *,
-                              thresholds: ThresholdPair | None = None
-                              ) -> tuple[np.ndarray, list[SymbolDecision]]:
-        """Comparator + peak-position decisions for every symbol window."""
-        sampled, output = self.quantizer.quantize(envelope, thresholds=thresholds)
-        binary = output.binary
-        envelope_grid = np.asarray(sampled.samples, dtype=float)
+    def _peak_position_stack(self, envelopes: np.ndarray, sample_rate: float,
+                             num_symbols: int, *,
+                             thresholds: ThresholdPair | None = None
+                             ) -> tuple[np.ndarray, np.ndarray]:
+        """Comparator + peak-position decisions for a ``(rows, samples)`` stack.
+
+        Returns ``(symbols, from_comparator)``, each ``(rows, num_symbols)``.
+        """
+        grid, binary = self.quantizer.quantize_rows(envelopes, sample_rate,
+                                                    thresholds=thresholds)
         # Symbol windows are laid out on the MCU sampling grid using the
         # exact (possibly fractional) number of samples per symbol so that
         # timing does not drift across a long payload.
         samples_per_symbol = (self.config.downlink.symbol_duration_s
-                              * sampled.sample_rate)
+                              * self.quantizer.sampler.sampling_rate_hz)
         if samples_per_symbol < 2:
             raise DemodulationError(
                 "MCU sampling rate too low for peak-position decoding "
                 f"({samples_per_symbol:.2f} samples per symbol)"
             )
-        if binary.size < int(round(samples_per_symbol * num_symbols)) - 1:
+        size = binary.shape[1]
+        if size < int(round(samples_per_symbol * num_symbols)) - 1:
             raise DemodulationError(
                 "binary sequence shorter than the requested number of symbols "
-                f"({binary.size} samples for {num_symbols} symbols)"
+                f"({size} samples for {num_symbols} symbols)"
             )
-        symbols = np.empty(num_symbols, dtype=np.int64)
-        decisions: list[SymbolDecision] = []
-        for i in range(num_symbols):
-            start = int(round(i * samples_per_symbol))
-            stop = min(int(round((i + 1) * samples_per_symbol)), binary.size)
-            if stop - start < 2:
-                stop = min(start + 2, binary.size)
-            win_bin = binary[start:stop]
-            win_env = envelope_grid[start:stop]
-            observation = self.peak_decoder.locate_peak(win_bin, win_env)
-            symbol = peak_position_to_symbol(min(observation.fraction, 1.0),
-                                             self.peak_decoder.alphabet_size)
-            symbols[i] = symbol
-            confidence = 1.0 if observation.from_comparator else 0.5
-            decisions.append(SymbolDecision(symbol=symbol, confidence=confidence,
-                                            used_correlation=False))
-        return symbols, decisions
+        start, stop = symbol_windows(samples_per_symbol, num_symbols, size)
+        return self.peak_decoder.decode_windows(binary, grid, start, stop)
+
+    def _decide_peak_position(self, envelope: Signal, num_symbols: int, *,
+                              thresholds: ThresholdPair | None = None
+                              ) -> tuple[np.ndarray, list[SymbolDecision]]:
+        """Comparator + peak-position decisions for every symbol window."""
+        symbols, from_comparator = self._peak_position_stack(
+            np.asarray(envelope.samples, dtype=float)[None], envelope.sample_rate,
+            num_symbols, thresholds=thresholds)
+        decisions = [SymbolDecision(symbol=int(s), confidence=1.0 if c else 0.5,
+                                    used_correlation=False)
+                     for s, c in zip(symbols[0], from_comparator[0])]
+        return symbols[0], decisions
 
     def _decide_correlation(self, envelope: Signal, num_symbols: int
                             ) -> tuple[np.ndarray, list[SymbolDecision]]:
@@ -133,17 +134,34 @@ class _SaiyanDemodulatorBase:
         return symbols, decisions
 
     # ------------------------------------------------------------------
+    def decide_stack(self, envelopes: np.ndarray, sample_rate: float,
+                     num_symbols: int) -> np.ndarray:
+        """Decide every symbol window of a ``(rows, samples)`` envelope stack.
+
+        Row ``i`` of the returned ``(rows, num_symbols)`` symbol array equals
+        the symbols :meth:`decide_envelope` gives for
+        ``Signal(envelopes[i], sample_rate)``: both run the same array
+        decision stage, the scalar entry point with one row.  The vectorized
+        burst kernel (:mod:`repro.sim.waveform_engine`) decides all its
+        bursts of one length with one call here.
+        """
+        envelopes = np.asarray(envelopes, dtype=float)
+        if self.config.mode.uses_correlation:
+            return self.correlator.demodulate_stack(envelopes, num_symbols)[0]
+        return self._peak_position_stack(envelopes, sample_rate, num_symbols)[0]
+
     def decide_envelope(self, envelope: Signal, num_symbols: int, *,
                         thresholds: ThresholdPair | None = None
                         ) -> tuple[np.ndarray, list[SymbolDecision]]:
         """Run the decision stage only: front-end envelope -> symbols.
 
         This is the exact decision code :meth:`demodulate_payload` uses after
-        the analog front end; the vectorized burst kernel
-        (:mod:`repro.sim.waveform_engine`) computes the envelopes of many
-        bursts as stacked array operations and then feeds each one through
-        this shared entry point, which is what keeps the engines bit-identical.
+        the analog front end.  It decides the envelope as a one-row stack of
+        the array code behind :meth:`decide_stack`, which is what keeps the
+        serial reference and the vectorized burst kernel bit-identical.
         """
+        if not isinstance(envelope, Signal):
+            raise ConfigurationError(f"expected a Signal, got {type(envelope).__name__}")
         if self.config.mode.uses_correlation:
             return self._decide_correlation(envelope, num_symbols)
         return self._decide_peak_position(envelope, num_symbols, thresholds=thresholds)

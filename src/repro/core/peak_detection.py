@@ -53,6 +53,21 @@ def symbol_to_peak_fraction(symbol: int, alphabet_size: int) -> float:
     return fraction if fraction < 1.0 else 1.0
 
 
+def symbol_windows(samples_per_symbol: float, num_symbols: int,
+                   size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, stop)`` sample bounds of each symbol window on a grid.
+
+    Edges sit at ``round(i * samples_per_symbol)`` so timing does not drift
+    across a long payload with a fractional number of samples per symbol;
+    ``stop`` is clipped to the ``size``-sample grid, and a window shorter
+    than two samples is widened to two where the grid allows.
+    """
+    edges = np.round(np.arange(num_symbols + 1) * samples_per_symbol).astype(np.int64)
+    start, stop = edges[:-1], np.minimum(edges[1:], size)
+    stop = np.where(stop - start < 2, np.minimum(start + 2, size), stop)
+    return start, stop
+
+
 @dataclass(frozen=True)
 class PeakObservation:
     """Where the peak was found inside one symbol window."""
@@ -121,6 +136,45 @@ class PeakPositionDecoder:
                                    from_comparator=False)
         # No pulse and no envelope: report mid-window with zero confidence.
         return PeakObservation(sample_index=n // 2, fraction=0.5, from_comparator=False)
+
+    def decode_windows(self, binary: np.ndarray, envelope: np.ndarray,
+                       start: np.ndarray, stop: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Decode every window of every row of a comparator-output stack.
+
+        ``binary`` and ``envelope`` are ``(rows, samples)`` arrays on the
+        same grid; window ``k`` of each row spans ``start[k]:stop[k]``.
+        Returns ``(symbols, from_comparator)``, each ``(rows, windows)``;
+        entry ``[r, k]`` is what :meth:`locate_peak` and
+        :meth:`decode_symbol` give for that window, computed for all
+        windows at once:
+
+        * the last falling edge at or before ``j`` is a running maximum of
+          the falling-edge indices, read at ``stop - 1``; it marks a pulse
+          of this window when it lies after ``start``;
+        * a window whose output is high at its end has fraction 1.0;
+        * any other window falls back to its envelope ``argmax``, taken on
+          a ``-inf``-padded ``(rows, windows, width)`` gather.
+        """
+        binary = np.asarray(binary, dtype=np.int64)
+        envelope = np.asarray(envelope, dtype=float)
+        size = binary.shape[1]
+        falls = np.where(np.diff(binary, axis=1) == -1, np.arange(1, size), -1)
+        last_fall = np.maximum.accumulate(
+            np.concatenate([np.full((binary.shape[0], 1), -1), falls], axis=1), axis=1)
+        last_fall = last_fall[:, stop - 1]
+        pulse = last_fall > start
+        high_to_end = ~pulse & (binary[:, stop - 1] == 1)
+        length = stop - start
+        offsets = np.arange(length.max())
+        inside = offsets < length[:, None]
+        padded = np.where(inside, envelope[:, np.minimum(start[:, None] + offsets, size - 1)],
+                          -np.inf)
+        index = np.where(pulse, last_fall - 1 - start, np.argmax(padded, axis=2))
+        fraction = np.where(high_to_end, 1.0, (index + 0.5) / length)
+        alphabet = self.alphabet_size
+        symbols = np.round((1.0 - fraction) * alphabet).astype(np.int64) % alphabet
+        return symbols, pulse | high_to_end
 
     def decode_symbol(self, window_binary: np.ndarray,
                       window_envelope: np.ndarray | None = None) -> int:

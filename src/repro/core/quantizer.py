@@ -21,7 +21,11 @@ import numpy as np
 from repro.core.config import SaiyanConfig
 from repro.dsp.signals import Signal
 from repro.exceptions import ConfigurationError, DemodulationError
-from repro.hardware.comparator import ComparatorOutput, DoubleThresholdComparator
+from repro.hardware.comparator import (
+    ComparatorOutput,
+    DoubleThresholdComparator,
+    hysteresis_states,
+)
 from repro.hardware.sampler import VoltageSampler
 from repro.utils.validation import ensure_positive
 
@@ -63,9 +67,13 @@ class ThresholdCalibrator:
     def thresholds_from_peak(self, peak_amplitude: float) -> ThresholdPair:
         """Apply the §4.1 rule to an expected peak amplitude."""
         ensure_positive(peak_amplitude, "peak_amplitude")
-        high = peak_amplitude / (10.0 ** (self.gap_db / 20.0))
-        low = high * (1.0 - self.hysteresis_fraction)
+        high, low = self._rule(peak_amplitude)
         return ThresholdPair(high=high, low=low)
+
+    def _rule(self, peak):
+        """``(UH, UL)`` of the §4.1 rule for a peak amplitude or an array of them."""
+        high = peak / (10.0 ** (self.gap_db / 20.0))
+        return high, high * (1.0 - self.hysteresis_fraction)
 
     def thresholds_from_envelope(self, envelope: Signal | np.ndarray) -> ThresholdPair:
         """Calibrate from an observed envelope (e.g. the preamble chirps).
@@ -75,12 +83,26 @@ class ThresholdCalibrator:
         """
         samples = np.asarray(envelope.samples if isinstance(envelope, Signal) else envelope,
                              dtype=float)
-        if samples.size == 0:
+        high, low = self.thresholds_rows(samples.reshape(1, -1))
+        return ThresholdPair(high=float(high[0]), low=float(low[0]))
+
+    def thresholds_rows(self, envelopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-row ``(UH, UL)`` arrays of a ``(rows, samples)`` envelope stack.
+
+        Row ``i`` gets the pair :meth:`thresholds_from_envelope` calibrates
+        from ``envelopes[i]``: ``np.percentile`` along axis 1 equals the
+        per-row call bit for bit.
+        """
+        envelopes = np.asarray(envelopes, dtype=float)
+        if envelopes.size == 0:
             raise DemodulationError("cannot calibrate thresholds from an empty envelope")
-        peak = float(np.percentile(samples, 99.0))
-        if peak <= 0:
+        peaks = np.percentile(envelopes, 99.0, axis=1)
+        if np.any(peaks <= 0):
             raise DemodulationError("envelope has no positive samples to calibrate from")
-        return self.thresholds_from_peak(peak)
+        high, low = self._rule(peaks)
+        if not np.all(low < high):
+            raise ConfigurationError("envelope peak amplitude is not finite")
+        return high, low
 
     # ------------------------------------------------------------------
     # Offline mapping table (§4.1: thresholds stored per link distance)
@@ -169,3 +191,24 @@ class SaiyanQuantizer:
         target = self.sampler.sample(envelope) if sample_first else envelope
         output = comparator.quantize(target)
         return target, output
+
+    def quantize_rows(self, envelopes: np.ndarray, sample_rate: float, *,
+                      thresholds: ThresholdPair | None = None
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Quantize a ``(rows, samples)`` stack of envelopes at ``sample_rate``.
+
+        Row ``i`` of the returned ``(grid, binary)`` pair equals the sampled
+        envelope and comparator output :meth:`quantize` gives for
+        ``Signal(envelopes[i], sample_rate)`` in the hardware order (sample,
+        then compare).  Every row has the same length, so one sampler index
+        array serves the whole stack; thresholds are calibrated per row
+        unless ``thresholds`` fixes one pair for all rows.
+        """
+        envelopes = np.asarray(envelopes, dtype=float)
+        if thresholds is None:
+            high, low = self.calibrator.thresholds_rows(envelopes)
+            high, low = high[:, None], low[:, None]
+        else:
+            high, low = thresholds.high, thresholds.low
+        grid = envelopes[:, self.sampler.grid_indices(envelopes.shape[1], sample_rate)]
+        return grid, hysteresis_states(grid, high, low)

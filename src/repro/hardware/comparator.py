@@ -54,6 +54,28 @@ def _edges(binary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rising, falling
 
 
+def hysteresis_states(samples: np.ndarray, high, low, *,
+                      initial_state: int = 0) -> np.ndarray:
+    """Equation 3 applied along the last axis of ``samples``.
+
+    Because ``low < high``, a sample at or above ``high`` sets the output
+    to 1 and a sample below ``low`` sets it to 0 whatever the previous
+    state; every other sample (including NaN) holds it.  The output is
+    therefore the value of the last such "decisive" sample, a forward fill
+    computed with ``np.maximum.accumulate`` over sample indices and seeded
+    with ``initial_state``.  ``high`` and ``low`` are scalars or arrays
+    broadcasting against ``samples`` (one threshold pair per row of a 2-D
+    stack).
+    """
+    samples = np.asarray(samples, dtype=float)
+    is_high = samples >= high
+    decisive = is_high | (samples < low)
+    last = np.maximum.accumulate(
+        np.where(decisive, np.arange(samples.shape[-1]), -1), axis=-1)
+    held = np.take_along_axis(is_high, np.maximum(last, 0), axis=-1)
+    return np.where(last >= 0, held, bool(initial_state)).astype(np.int64)
+
+
 class SingleThresholdComparator(Component):
     """A comparator with one threshold (used as the Figure 7 strawman).
 
@@ -116,17 +138,8 @@ class DoubleThresholdComparator(Component):
         if initial_state not in (0, 1):
             raise ConfigurationError(f"initial_state must be 0 or 1, got {initial_state}")
         samples = _envelope_samples(envelope)
-        binary = np.empty(samples.size, dtype=np.int64)
-        state = int(initial_state)
-        high, low = self.high_threshold, self.low_threshold
-        for i, amplitude in enumerate(samples):
-            if state == 0:
-                # Enter the high state only on a sufficiently high amplitude.
-                state = 1 if amplitude >= high else 0
-            else:
-                # Leave the high state only when the amplitude drops below UL.
-                state = 0 if amplitude < low else 1
-            binary[i] = state
+        binary = hysteresis_states(samples, self.high_threshold, self.low_threshold,
+                                   initial_state=initial_state)
         rising, falling = _edges(binary)
         return ComparatorOutput(binary=binary, transitions_to_high=rising,
                                 transitions_to_low=falling)

@@ -46,14 +46,22 @@ class VoltageSampler(Component):
         """
         if not isinstance(waveform, Signal):
             raise ConfigurationError(f"expected a Signal, got {type(waveform).__name__}")
-        duration = waveform.duration
-        n_out = max(int(np.floor(duration * self.sampling_rate_hz)), 1)
-        sample_times = np.arange(n_out) / self.sampling_rate_hz
-        indices = np.minimum((sample_times * waveform.sample_rate).astype(int),
-                             len(waveform) - 1)
+        indices = self.grid_indices(len(waveform), waveform.sample_rate)
         samples = np.asarray(waveform.samples)[indices]
         return Signal(samples, self.sampling_rate_hz, carrier_hz=waveform.carrier_hz,
                       label=f"{waveform.label}|sampled@{self.sampling_rate_hz:g}Hz")
+
+    def grid_indices(self, num_samples: int, sample_rate: float) -> np.ndarray:
+        """Indices of the ``num_samples``-long waveform at ``sample_rate`` that
+        this sampler picks (one per sampling instant).
+
+        Depends only on the length and rate, so equal-length rows of a stack
+        share one index array.
+        """
+        duration = num_samples / sample_rate
+        n_out = max(int(np.floor(duration * self.sampling_rate_hz)), 1)
+        sample_times = np.arange(n_out) / self.sampling_rate_hz
+        return np.minimum((sample_times * sample_rate).astype(int), num_samples - 1)
 
     def samples_per_duration(self, duration_s: float) -> int:
         """Number of samples this sampler takes over ``duration_s`` seconds."""

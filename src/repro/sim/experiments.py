@@ -264,8 +264,11 @@ def figure10_cyclic_shift(*, num_chirps: int = 24, snr_db: float = 20.0,
         n = min(observed.size, ref.size)
         observed, ref = observed[:n], ref[:n]
         ref_centered = ref - np.mean(ref)
-        denom = float(np.dot(ref_centered, ref_centered))
-        alpha = float(np.dot(observed, ref_centered)) / max(denom, 1e-30)
+        # NumPy's pairwise sum, not BLAS ``dot``: OpenBLAS splits a dot
+        # product across its threads, so its last bits follow the host's
+        # core count.
+        denom = float(np.add.reduce(ref_centered * ref_centered))
+        alpha = float(np.add.reduce(observed * ref_centered)) / max(denom, 1e-30)
         fitted = alpha * ref_centered + np.mean(observed)
         residual = observed - fitted
         signal_power = float(np.sum((alpha * ref_centered) ** 2))

@@ -287,10 +287,11 @@ class SaiyanBurstKernel:
     computed once here.  ``measure`` then draws the same per-burst RNG
     blocks as the serial loop (symbols, channel AWGN, LNA noise, in that
     order), evaluates the whole front end as stacked array operations
-    (batched FFT/FIR apply each row exactly as the 1-D ops would), and runs
-    the decision stage through the demodulator's shared
-    ``decide_envelope`` — so the error counts are bit-identical to the
-    serial reference under a fixed seed.
+    (batched FFT/FIR apply each row exactly as the 1-D ops would), and
+    decides the whole stack with the demodulator's ``decide_stack`` — the
+    array code the serial ``decide_envelope`` runs with one row — so the
+    error counts are bit-identical to the serial reference under a fixed
+    seed.
     """
 
     def __init__(self, config: SaiyanConfig, *, precision: str = "reference") -> None:
@@ -584,42 +585,17 @@ class SaiyanBurstKernel:
                             bit_errors: list[int]) -> None:
         """Decision stage of one fused group, accumulating into the counters.
 
-        Correlation modes inline the exact per-window scoring of
-        ``CorrelationDemodulator.demodulate`` (batched row-mean centring,
-        then a per-window norm + template matvec — the GEMM/norm-axis
-        batching stays on the tolerance-gated fast path only), skipping the
-        per-row ``Signal`` wrapper.  Other modes fall back to the shared
-        ``decide_envelope`` entry point per row.
+        One stack call decides every window of every row: the demodulator's
+        array decision stage (:meth:`decide_stack`, which the scalar
+        ``decide_envelope`` runs with one row), or on the fast path's
+        correlation modes the float32 GEMM of
+        :meth:`_decide_correlation_stack`.
         """
-        if not self._fast and self.config.mode.uses_correlation:
-            correlator = self.demodulator.correlator
-            templates = correlator.templates
-            n = correlator.samples_per_symbol
-            for owner, tx, envelope in zip(owners, tx_list, envelopes):
-                block = envelope[: n * burst].reshape(burst, n)
-                centered = block - np.mean(block, axis=1)[:, None]
-                decided = np.empty(burst, dtype=np.int64)
-                for i in range(burst):
-                    window = centered[i]
-                    norm = np.linalg.norm(window)
-                    decided[i] = (int(np.argmax(templates @ (window / norm)))
-                                  if norm > 0 else 0)
-                symbol_errors[owner] += int(np.sum(decided != tx))
-                bit_errors[owner] += count_bit_errors(tx, decided,
-                                                      self._bits_per_symbol)
-            return
         if self._fast and self.config.mode.uses_correlation:
             decided_rows = self._decide_correlation_stack(envelopes, burst)
-            for owner, tx, decided in zip(owners, tx_list, decided_rows):
-                symbol_errors[owner] += int(np.sum(decided != tx))
-                bit_errors[owner] += count_bit_errors(tx, decided,
-                                                      self._bits_per_symbol)
-            return
-        for owner, tx, envelope in zip(owners, tx_list, envelopes):
-            if self._fast:
-                envelope = np.asarray(envelope, dtype=float)
-            signal = Signal(envelope, self._fs)
-            decided, _ = self.demodulator.decide_envelope(signal, burst)
+        else:
+            decided_rows = self.demodulator.decide_stack(envelopes, self._fs, burst)
+        for owner, tx, decided in zip(owners, tx_list, decided_rows):
             symbol_errors[owner] += int(np.sum(decided != tx))
             bit_errors[owner] += count_bit_errors(tx, decided,
                                                   self._bits_per_symbol)
