@@ -4,7 +4,8 @@ A production-quality Python reproduction of *"Saiyan: Design and
 Implementation of a Low-power Demodulator for LoRa Backscatter Systems"*
 (NSDI 2022).  The package is organised in layers:
 
-* :mod:`repro.dsp` — signal containers, chirps, filters, noise, spectra.
+* :mod:`repro.dsp` — signal containers, chirps, filters, envelope, noise,
+  correlation.
 * :mod:`repro.lora` — LoRa PHY (modulation, coding, packets).
 * :mod:`repro.channel` — path loss, walls, fading, backscatter links,
   interference, environment presets.

@@ -35,7 +35,6 @@ from repro.core.demodulator import (
 from repro.core.decoder import SaiyanPacketDecoder, DecodedPacket
 from repro.core.receiver import SaiyanReceiver, ReceptionReport
 from repro.core.power_model import SaiyanPowerModel
-from repro.core.agc import AutomaticGainControl, AgcState
 
 __all__ = [
     "SaiyanConfig",
@@ -59,6 +58,4 @@ __all__ = [
     "SaiyanReceiver",
     "ReceptionReport",
     "SaiyanPowerModel",
-    "AutomaticGainControl",
-    "AgcState",
 ]

@@ -1,10 +1,11 @@
 """Digital signal processing substrate.
 
-This package provides the building blocks every other layer is built on: a
+The building blocks the hardware and receiver models run on: a
 :class:`~repro.dsp.signals.Signal` container that couples a sample array
-with its sample rate, chirp synthesis, filtering, mixing, envelope
-extraction, noise generation, spectral analysis, correlation and
-power/SNR measurement.
+with its sample rate, chirp synthesis, FIR filtering and frequency-domain
+shaping, the ideal magnitude envelope, AWGN and flicker noise, and the
+sliding correlations of the PLoRa packet detector.  Nothing here imports
+SciPy at module load.
 """
 
 from repro.dsp.signals import Signal
@@ -24,42 +25,15 @@ from repro.dsp.filters import (
     bandpass_filter,
     frequency_domain_gain,
 )
-from repro.dsp.mixer import mix_with_tone, frequency_shift, multiply_signals
-from repro.dsp.envelope import (
-    envelope_magnitude,
-    square_law_envelope,
-    smooth_envelope,
-)
+from repro.dsp.envelope import envelope_magnitude
 from repro.dsp.noise import (
     awgn_samples,
     add_awgn,
     add_awgn_snr,
     noise_power_dbm,
-    dc_offset,
     flicker_noise,
 )
-from repro.dsp.spectrum import (
-    power_spectrum,
-    power_spectral_density,
-    spectrogram,
-    band_power,
-    occupied_bandwidth,
-)
-from repro.dsp.correlator import (
-    cross_correlate,
-    normalized_correlation,
-    matched_filter,
-    correlation_peak,
-)
-from repro.dsp.resample import decimate, resample_to_rate
-from repro.dsp.measurements import (
-    signal_power,
-    signal_power_dbm,
-    rms,
-    snr_db,
-    estimate_snr_from_bands,
-    peak_to_average_ratio,
-)
+from repro.dsp.correlator import cross_correlate, normalized_correlation
 
 __all__ = [
     "Signal",
@@ -75,33 +49,12 @@ __all__ = [
     "lowpass_filter",
     "bandpass_filter",
     "frequency_domain_gain",
-    "mix_with_tone",
-    "frequency_shift",
-    "multiply_signals",
     "envelope_magnitude",
-    "square_law_envelope",
-    "smooth_envelope",
     "awgn_samples",
     "add_awgn",
     "add_awgn_snr",
     "noise_power_dbm",
-    "dc_offset",
     "flicker_noise",
-    "power_spectrum",
-    "power_spectral_density",
-    "spectrogram",
-    "band_power",
-    "occupied_bandwidth",
     "cross_correlate",
     "normalized_correlation",
-    "matched_filter",
-    "correlation_peak",
-    "decimate",
-    "resample_to_rate",
-    "signal_power",
-    "signal_power_dbm",
-    "rms",
-    "snr_db",
-    "estimate_snr_from_bands",
-    "peak_to_average_ratio",
 ]

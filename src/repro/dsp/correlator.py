@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.filters import scipy_signal
 from repro.dsp.signals import Signal
 from repro.exceptions import SignalError
 
@@ -49,24 +48,6 @@ def normalized_correlation(signal: Signal, template: Signal | np.ndarray) -> np.
     window_energy = np.sqrt(np.maximum(window_power, 1e-30))
     denom = np.maximum(window_energy * template_energy, 1e-30)
     return np.clip(corr / denom, 0.0, 1.0)
-
-
-def matched_filter(signal: Signal, template: Signal | np.ndarray) -> Signal:
-    """Apply a matched filter (time-reversed conjugate of ``template``)."""
-    template_samples = _template_samples(signal, template)
-    kernel = np.conj(template_samples[::-1])
-    filtered = scipy_signal().fftconvolve(np.asarray(signal.samples), kernel,
-                                          mode="same")
-    return signal.with_samples(filtered, label=f"{signal.label}|mf")
-
-
-def correlation_peak(correlation: np.ndarray) -> tuple[int, float]:
-    """Return ``(index, value)`` of the maximum of a correlation sequence."""
-    correlation = np.asarray(correlation)
-    if correlation.size == 0:
-        raise SignalError("correlation sequence is empty")
-    index = int(np.argmax(correlation))
-    return index, float(correlation[index])
 
 
 def _template_samples(signal: Signal, template: Signal | np.ndarray) -> np.ndarray:

@@ -1,51 +1,19 @@
 """Envelope extraction.
 
-Two flavours are provided:
-
-* :func:`envelope_magnitude` — the ideal (coherent) envelope ``|x|`` used by
-  analysis code and by the standard LoRa receiver model.
-* :func:`square_law_envelope` — the physically faithful square-law detector
-  output ``k * |x|^2`` that models the diode/CMOS envelope detectors used on
-  backscatter tags.  The squaring is what causes the signal x noise and
-  noise x noise self-mixing products described by Equation 4 of the paper,
-  and therefore the SNR loss that the cyclic-frequency-shifting circuit
-  recovers.
+:func:`envelope_magnitude` is the ideal (coherent) envelope ``|x|`` used by
+analysis code and by the standard LoRa receiver model.  The physically
+faithful square-law detector of the tag, with the self-mixing products of
+Equation 4, is :class:`~repro.hardware.envelope_detector.EnvelopeDetector`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.dsp.filters import lowpass_filter
 from repro.dsp.signals import Signal
-from repro.utils.validation import ensure_positive
 
 
 def envelope_magnitude(signal: Signal) -> Signal:
     """Return the ideal magnitude envelope ``|x|`` of ``signal``."""
     return signal.with_samples(np.abs(np.asarray(signal.samples)),
                                label=f"{signal.label}|env")
-
-
-def square_law_envelope(signal: Signal, *, gain: float = 1.0) -> Signal:
-    """Return the square-law detector output ``gain * |x|^2``.
-
-    Parameters
-    ----------
-    signal:
-        Input signal (the RF/IF waveform incident on the detector).
-    gain:
-        Detector conversion gain ``k`` in Equation 4.
-    """
-    ensure_positive(gain, "gain")
-    samples = np.abs(np.asarray(signal.samples)) ** 2 * gain
-    return signal.with_samples(samples, label=f"{signal.label}|sqlaw")
-
-
-def smooth_envelope(signal: Signal, cutoff_hz: float, *, num_taps: int = 65) -> Signal:
-    """Low-pass filter an envelope to model the detector's output RC filter.
-
-    Real envelope detectors include an RC network that removes the carrier
-    ripple; ``cutoff_hz`` plays the role of ``1/(2*pi*R*C)``.
-    """
-    return lowpass_filter(signal, cutoff_hz, num_taps=num_taps)

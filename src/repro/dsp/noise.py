@@ -1,12 +1,13 @@
-"""Noise sources: thermal AWGN, flicker noise and DC offset.
+"""Noise sources: thermal AWGN and flicker noise.
 
 The noise floor seen by the Saiyan front end is modelled as additive white
 Gaussian noise whose power is derived from the thermal noise density
 (−174 dBm/Hz), the receiver bandwidth and the receiver noise figure.  The
 cyclic-frequency-shifting circuit additionally has to contend with DC offset
-and 1/f (flicker) noise at baseband, which these helpers can synthesise so
-that the benefit of moving the signal to an intermediate frequency is
-reproduced.
+and 1/f (flicker) noise at baseband; :func:`flicker_noise` synthesises the
+latter (the offset is a plain constant, added by
+:class:`~repro.core.cyclic_shift.BasebandImpairments`) so that the benefit
+of moving the signal to an intermediate frequency is reproduced.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from repro.constants import THERMAL_NOISE_DBM_PER_HZ
 from repro.dsp.signals import Signal
 from repro.utils.rng import RandomState, as_rng
-from repro.utils.units import db_to_linear, dbm_to_watts
+from repro.utils.units import db_to_linear
 from repro.utils.validation import ensure_non_negative, ensure_positive
 
 
@@ -123,29 +124,13 @@ def add_awgn_snr(signal: Signal, snr_db: float, *,
     return add_awgn(signal, float(noise_power), random_state=random_state)
 
 
-def add_noise_floor_dbm(signal: Signal, noise_dbm: float, *,
-                        random_state: RandomState = None) -> Signal:
-    """Add AWGN whose absolute power is ``noise_dbm`` (dBm referenced to 1 mW).
-
-    This couples naturally with waveforms whose amplitude is expressed such
-    that ``|x|^2`` is watts (the convention used by the channel layer).
-    """
-    return add_awgn(signal, float(dbm_to_watts(noise_dbm)), random_state=random_state)
-
-
-def dc_offset(signal: Signal, offset: float) -> Signal:
-    """Add a constant DC offset, as produced by envelope-detector self-mixing."""
-    return signal.with_samples(np.asarray(signal.samples) + offset,
-                               label=f"{signal.label}+dc")
-
-
 def flicker_noise(n: int, power: float, sample_rate: float, *,
                   random_state: RandomState = None) -> np.ndarray:
     """Generate ``n`` samples of 1/f (flicker) noise with average power ``power``.
 
     Flicker noise is synthesised by shaping white Gaussian noise with a
     ``1/sqrt(f)`` magnitude response in the frequency domain; the DC bin is
-    set to zero so the offset is controlled separately by :func:`dc_offset`.
+    set to zero so any DC offset is added separately.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

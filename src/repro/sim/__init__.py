@@ -48,7 +48,6 @@ from repro.sim.link_sim import SaiyanLinkModel, BaselineLinkModel, BackscatterUp
 from repro.sim.network import FeedbackNetworkSimulator, RetransmissionExperimentResult
 from repro.sim.network_engine import ScenarioResult, run_scenario
 from repro.sim.scenario import SCENARIOS, ScenarioSpec, get_scenario, register_scenario
-from repro.sim.sweep import sweep_1d, sweep_2d
 from repro.sim.waveform_ber import (
     WaveformBerPoint,
     measure_symbol_errors,
@@ -94,8 +93,6 @@ __all__ = [
     "ScenarioSpec",
     "get_scenario",
     "register_scenario",
-    "sweep_1d",
-    "sweep_2d",
     "WaveformBerPoint",
     "measure_symbol_errors",
     "snr_sweep",

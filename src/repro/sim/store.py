@@ -300,40 +300,6 @@ def scenario_key(spec, seed: int, engine: str = "batch") -> dict:
     return key
 
 
-def sweep_key(kind: str, caller_key, grids: Mapping) -> dict:
-    """Key of a generic ``sweep_1d``/``sweep_2d`` evaluation.
-
-    ``caller_key`` must capture the evaluator's identity: pass a plain
-    (closure-free) function to fingerprint its source, or any canonical
-    spec; ``grids`` carries the swept value arrays.  Closures and bound
-    partials are refused — two closures over different captured values
-    share identical source, so a source fingerprint would silently alias
-    their entries.
-    """
-    key = _base_key(kind)
-    if callable(caller_key):
-        target = caller_key
-        if isinstance(target, functools.partial):
-            raise UncacheableError(
-                "a functools.partial hides its bound arguments from a source "
-                "fingerprint; pass a canonical spec as the store key instead")
-        target = inspect.unwrap(target)
-        if getattr(target, "__closure__", None):
-            raise UncacheableError(
-                f"{caller_key!r} closes over captured state that a source "
-                "fingerprint cannot see; pass a canonical spec as the store "
-                "key instead")
-        caller = source_fingerprint(target)
-    else:
-        caller = canonicalize(caller_key)
-    key.update({
-        "caller": caller,
-        "grids": canonicalize(dict(grids)),
-        "fingerprint": library_fingerprint(),
-    })
-    return key
-
-
 # ---------------------------------------------------------------------------
 # The store
 # ---------------------------------------------------------------------------
@@ -689,7 +655,6 @@ __all__ = [
     "library_fingerprint",
     "open_store",
     "scenario_key",
-    "sweep_key",
     "waveform_cell_key",
     "waveform_sweep_key",
 ]

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dsp.chirp import lora_upchirp
-from repro.dsp.correlator import (
-    correlation_peak,
-    cross_correlate,
-    matched_filter,
-    normalized_correlation,
-)
+from repro.dsp.correlator import cross_correlate, normalized_correlation
 from repro.dsp.noise import add_awgn_snr
 from repro.dsp.signals import Signal
 from repro.exceptions import SignalError
@@ -35,8 +30,7 @@ def test_cross_correlate_output_length():
 def test_cross_correlate_peak_at_embedded_offset():
     signal, template, offset = _embedded_chirp()
     corr = cross_correlate(signal, template)
-    index, _ = correlation_peak(corr)
-    assert abs(index - offset) <= 2
+    assert abs(int(np.argmax(corr)) - offset) <= 2
 
 
 def test_cross_correlate_rejects_template_longer_than_signal():
@@ -71,21 +65,3 @@ def test_normalized_correlation_robust_to_noise():
     noisy = add_awgn_snr(template, 0.0, random_state=3)
     norm = normalized_correlation(noisy, template)
     assert norm.max() > 0.5
-
-
-def test_matched_filter_peaks_at_chirp_center():
-    signal, template, offset = _embedded_chirp()
-    filtered = matched_filter(signal, template)
-    peak = int(np.argmax(np.abs(np.asarray(filtered.samples))))
-    assert abs(peak - (offset + len(template) // 2)) <= 2
-
-
-def test_correlation_peak_empty_raises():
-    with pytest.raises(SignalError):
-        correlation_peak(np.array([]))
-
-
-def test_correlation_peak_returns_value():
-    index, value = correlation_peak(np.array([1.0, 5.0, 2.0]))
-    assert index == 1
-    assert value == 5.0

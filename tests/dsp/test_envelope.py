@@ -1,9 +1,8 @@
 """Unit tests for envelope extraction."""
 
 import numpy as np
-import pytest
 
-from repro.dsp.envelope import envelope_magnitude, smooth_envelope, square_law_envelope
+from repro.dsp.envelope import envelope_magnitude
 from repro.dsp.signals import Signal
 
 FS = 1e6
@@ -14,44 +13,3 @@ def test_envelope_magnitude_of_complex_tone_is_constant():
     signal = Signal(0.7 * np.exp(1j * 2 * np.pi * 50e3 * t), FS)
     envelope = envelope_magnitude(signal)
     np.testing.assert_allclose(envelope.samples, 0.7, rtol=1e-9)
-
-
-def test_square_law_envelope_squares_amplitude():
-    t = np.arange(1024) / FS
-    signal = Signal(2.0 * np.exp(1j * 2 * np.pi * 10e3 * t), FS)
-    envelope = square_law_envelope(signal)
-    np.testing.assert_allclose(envelope.samples, 4.0, rtol=1e-9)
-
-
-def test_square_law_envelope_gain_scales_linearly():
-    signal = Signal(np.ones(128, dtype=complex), FS)
-    assert square_law_envelope(signal, gain=3.0).samples[0] == pytest.approx(3.0)
-
-
-def test_square_law_output_is_real_and_non_negative():
-    rng = np.random.default_rng(0)
-    signal = Signal(rng.normal(size=256) + 1j * rng.normal(size=256), FS)
-    envelope = square_law_envelope(signal)
-    assert not envelope.is_complex
-    assert np.all(np.asarray(envelope.samples) >= 0)
-
-
-def test_square_law_models_self_mixing_cross_term():
-    # |s + n|^2 contains a cross term, so the output power exceeds the sum of
-    # the individual squared powers on average when s and n are correlated.
-    t = np.arange(4096) / FS
-    s = np.exp(1j * 2 * np.pi * 20e3 * t)
-    envelope = square_law_envelope(Signal(s + s, FS))
-    np.testing.assert_allclose(envelope.samples, 4.0, rtol=1e-9)
-
-
-def test_smooth_envelope_removes_ripple():
-    t = np.arange(8192) / FS
-    # AM envelope at 1 kHz with fast ripple at 200 kHz.
-    envelope = 1.0 + 0.5 * np.cos(2 * np.pi * 1e3 * t) + 0.3 * np.cos(2 * np.pi * 200e3 * t)
-    smoothed = smooth_envelope(Signal(envelope, FS), cutoff_hz=10e3)
-    spectrum = np.abs(np.fft.rfft(np.asarray(smoothed.samples)))
-    freqs = np.fft.rfftfreq(len(smoothed), d=1 / FS)
-    ripple = spectrum[np.argmin(np.abs(freqs - 200e3))]
-    wanted = spectrum[np.argmin(np.abs(freqs - 1e3))]
-    assert ripple < 0.01 * wanted

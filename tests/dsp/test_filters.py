@@ -34,6 +34,16 @@ def test_moving_average_window_one_is_identity():
     np.testing.assert_allclose(moving_average(signal, 1).samples, signal.samples)
 
 
+def test_moving_average_is_centred_not_causal():
+    # mode="same" centres the window: an impulse at 6 spreads over 5..8 for
+    # window 4, i.e. one sample before the impulse, not 6..9.
+    impulse = np.zeros(16)
+    impulse[6] = 1.0
+    out = np.asarray(moving_average(Signal(impulse, FS), 4).samples)
+    np.testing.assert_array_equal(np.flatnonzero(out), [5, 6, 7, 8])
+    np.testing.assert_allclose(out[5:9], 0.25)
+
+
 def test_moving_average_rejects_zero_window():
     with pytest.raises(Exception):
         moving_average(Signal(np.ones(10), FS), 0)

@@ -6,14 +6,11 @@ import pytest
 from repro.dsp.noise import (
     add_awgn,
     add_awgn_snr,
-    add_noise_floor_dbm,
     awgn_samples,
-    dc_offset,
     flicker_noise,
     noise_power_dbm,
 )
 from repro.dsp.signals import Signal
-from repro.utils.units import dbm_to_watts
 
 FS = 1e6
 
@@ -55,17 +52,6 @@ def test_add_awgn_snr_sets_requested_snr():
     noise = np.asarray(noisy.samples) - np.asarray(signal.samples)
     snr = 10 * np.log10(signal.power() / np.mean(np.abs(noise) ** 2))
     assert snr == pytest.approx(10.0, abs=0.3)
-
-
-def test_add_noise_floor_dbm_absolute_power():
-    signal = Signal(np.zeros(200_000, dtype=complex), FS)
-    noisy = add_noise_floor_dbm(signal, -90.0, random_state=3)
-    assert noisy.power() == pytest.approx(float(dbm_to_watts(-90.0)), rel=0.05)
-
-
-def test_dc_offset_shifts_mean():
-    signal = Signal(np.zeros(100), FS)
-    assert np.mean(np.asarray(dc_offset(signal, 0.5).samples)) == pytest.approx(0.5)
 
 
 def test_flicker_noise_power_and_shape():

@@ -19,7 +19,6 @@ from repro.sim.store import (
     scenario_key,
     waveform_cell_key,
 )
-from repro.sim.sweep import sweep_1d, sweep_2d
 from repro.sim.waveform_engine import ReceiverSpec, WaveformSweepSpec, run_sweep
 
 KEY_A = {"kind": "test", "name": "a", "seed": 1}
@@ -227,15 +226,6 @@ class TestResultStore:
         assert store.uncacheable == 1
         assert store.stats()["entries"] == 0
 
-    def test_sweep_with_nan_results_computes_without_caching(self, tmp_path):
-        store = ResultStore(tmp_path)
-
-        def bad(x):
-            return float("nan")
-
-        _, results = sweep_1d([1.0, 2.0], bad, store=store, store_key=bad)
-        assert np.isnan(results).all()
-        assert store.stats()["entries"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -340,25 +330,6 @@ class TestKeySchemas:
     def test_figure_key_includes_the_module_scaffold(self):
         key = figure_driver_key("a", _fake_driver_v1, {"random_state": 3}, 3)
         assert len(key["scaffold_fingerprint"]) == 64
-
-    def test_sweep_key_rejects_closures_and_partials(self):
-        import functools
-
-        from repro.sim.store import UncacheableError, sweep_key
-
-        def make_evaluator(offset):
-            return lambda x: x + offset
-
-        with pytest.raises(UncacheableError):
-            # Two closures over different offsets share identical source; a
-            # source fingerprint would alias their entries.
-            sweep_key("sweep-1d", make_evaluator(1), {"values": [1.0]})
-        with pytest.raises(UncacheableError):
-            sweep_key("sweep-1d", functools.partial(_square, 2),
-                      {"values": [1.0]})
-        # A plain module-level function is fine.
-        key = sweep_key("sweep-1d", _square, {"values": [1.0]})
-        assert key["kind"] == "sweep-1d"
 
 
 # ---------------------------------------------------------------------------
@@ -521,46 +492,6 @@ class TestScenarioStore:
         for name in names:
             assert warm[name].to_dict() == cold[name].to_dict()
             assert warm[name].to_dict() == plain[name].to_dict()
-
-
-# ---------------------------------------------------------------------------
-# Generic sweep integration
-# ---------------------------------------------------------------------------
-
-def _square(x):
-    return float(x) ** 2
-
-
-class TestSweepStore:
-    def test_sweep_1d_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path)
-        values, cold = sweep_1d([1.0, 2.0, 3.0], _square, store=store,
-                                store_key=_square)
-        _, warm = sweep_1d([1.0, 2.0, 3.0], _square, store=store,
-                           store_key=_square)
-        np.testing.assert_array_equal(cold, warm)
-        assert store.hits == 1
-
-    def test_sweep_1d_scalar_and_vectorized_do_not_share_entries(self, tmp_path):
-        store = ResultStore(tmp_path)
-        sweep_1d([1.0, 4.0], _square, store=store, store_key="square")
-        sweep_1d([1.0, 4.0], lambda xs: np.asarray(xs) ** 2, vectorized=True,
-                 store=store, store_key="square")
-        assert store.stats()["entries"] == 2
-
-    def test_sweep_2d_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path)
-        cold = sweep_2d([1.0, 2.0], [3.0, 4.0], lambda a, b: a * b,
-                        store=store, store_key="product")
-        warm = sweep_2d([1.0, 2.0], [3.0, 4.0], lambda a, b: a * b,
-                        store=store, store_key="product")
-        np.testing.assert_array_equal(cold, warm)
-        assert store.hits == 1
-
-    def test_missing_store_key_skips_the_store(self, tmp_path):
-        store = ResultStore(tmp_path)
-        sweep_1d([1.0], _square, store=store)
-        assert store.stats()["entries"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -120,9 +120,9 @@ class TestSourceFingerprint:
         assert source_fingerprint(bound) == source_fingerprint(_helper_function)
 
     def test_module_by_name_matches_module_object(self):
-        import repro.sim.sweep as sweep_module
+        import repro.sim.metrics as metrics_module
 
-        assert source_fingerprint("repro.sim.sweep") == source_fingerprint(sweep_module)
+        assert source_fingerprint("repro.sim.metrics") == source_fingerprint(metrics_module)
 
     def test_order_matters(self):
         assert (source_fingerprint(_helper_function, _other_function)
