@@ -15,10 +15,10 @@ single passes because its cold/warm timings are stateful.
 
 * ``figures`` — wall clock of every figure/table driver on the batch path
   (one :class:`~repro.sim.batch.BatchRunner` pass, manifests included);
-* ``engines`` — scalar-vs-batch head-to-heads on the Monte-Carlo hot paths
-  (link-level packet simulation at 100k packets, ARQ retransmission,
-  channel hopping, and the multi-tag network scenario engine), asserting
-  that both engines produce identical results before reporting the speedup;
+* ``engines`` — scalar-vs-batch head-to-heads on the network Monte-Carlo
+  hot paths (ARQ retransmission, channel hopping, and the multi-tag network
+  scenario engine, sized from ``--packets``), asserting that both engines
+  produce identical results before reporting the speedup;
 * ``waveform`` — the serial ``snr_sweep`` against the sharded waveform
   engine (in-process vectorized kernel and 1/4-shard process pool),
   asserting bit-identical error counts before reporting the speedups.
@@ -69,9 +69,9 @@ single passes because its cold/warm timings are stateful.
   missing provenance.
 
 ``--smoke`` shrinks every workload for CI: the head-to-heads still assert
-engine equality and the ≥10x link-speedup gate still applies.  Wall-clock
-gates that need amortisation (waveform kernel ≥1.7x, mega-batch ≥2.44x/3.91x,
-pool reuse ≥1.5x, precision ≥1.2x) only apply to full runs, and the
+engine equality.  Wall-clock gates that need amortisation (waveform kernel
+≥1.7x, mega-batch ≥2.44x/3.91x, pool reuse ≥1.5x, precision ≥1.2x) only
+apply to full runs, and the
 forced-parallel BatchRunner ≥2x gate additionally requires a multi-core
 host — process fan-out cannot beat serial on one core, so on such hosts
 the speedup is recorded with ``gate_enforced: false``.  The cost-model
@@ -104,15 +104,12 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.channel.environment import outdoor_environment  # noqa: E402
-from repro.channel.fading import RicianFading  # noqa: E402
 from repro.channel.interference import InterferenceEnvironment, Jammer  # noqa: E402
 from repro.core.config import SaiyanConfig, SaiyanMode  # noqa: E402
 from repro.lora.parameters import DownlinkParameters  # noqa: E402
 from repro.net.channel_hopping import ChannelHopController, ChannelPlan  # noqa: E402
 from repro.serve import loadgen  # noqa: E402
-from repro.sim.batch import BatchRunner, simulate_link_packets  # noqa: E402
-from repro.sim.link_sim import SaiyanLinkModel  # noqa: E402
+from repro.sim.batch import BatchRunner  # noqa: E402
 from repro.sim.network import FeedbackNetworkSimulator  # noqa: E402
 
 
@@ -188,18 +185,6 @@ def benchmark_engines(num_packets: int, *, repeats: int = 3) -> dict:
 
     downlink = DownlinkParameters(spreading_factor=7, bandwidth_hz=500e3,
                                   bits_per_chirp=2)
-    model = SaiyanLinkModel(
-        config=SaiyanConfig(downlink=downlink, mode=SaiyanMode.SUPER),
-        link=outdoor_environment(fading=RicianFading(k_factor_db=9.0)).link_budget())
-
-    def run_link(engine: str):
-        result = simulate_link_packets(model, 130.0, num_packets,
-                                       random_state=42, engine=engine)
-        return (result.detected, result.delivered, result.bit_errors)
-
-    engines[f"link_monte_carlo_{num_packets}"] = _engine_head_to_head(
-        "link Monte-Carlo", run_link, repeats)
-
     config = SaiyanConfig(downlink=downlink, mode=SaiyanMode.SUPER)
 
     def run_retransmission(engine: str):
@@ -757,10 +742,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default=str(REPO_ROOT / "BENCH_batch.json"))
     parser.add_argument("--packets", type=int, default=100_000,
-                        help="packets for the link Monte-Carlo head-to-head")
+                        help="packets that size the engine head-to-heads "
+                             "(retransmission runs packets/5, channel "
+                             "hopping packets/100 per window, the network "
+                             "scenario packets/500 per window)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI mode: shrink every workload (equality "
-                             "checks and the speedup gate still apply)")
+                             "checks still apply)")
     parser.add_argument("--profile", action="store_true",
                         help="capture cProfile top-20 cumulative hotspots "
                              "per engine into BENCH_profile.txt next to "

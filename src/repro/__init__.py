@@ -6,19 +6,20 @@ Implementation of a Low-power Demodulator for LoRa Backscatter Systems"*
 
 * :mod:`repro.dsp` — signal containers, chirps, filters, envelope, noise,
   correlation.
-* :mod:`repro.lora` — LoRa PHY (modulation, coding, packets).
+* :mod:`repro.lora` — LoRa PHY (modulation, FFT demodulation, packets).
 * :mod:`repro.channel` — path loss, walls, fading, backscatter links,
   interference, environment presets.
 * :mod:`repro.hardware` — SAW filter, LNA, envelope detector, comparator,
-  mixers, oscillator, MCU, energy harvester, power ledgers.
+  MCU sampler, mixers, oscillator, ADC, energy harvester, power ledgers.
 * :mod:`repro.core` — the Saiyan demodulator itself (vanilla and super),
   packet decoder, receiver API and power model.
 * :mod:`repro.baselines` — PLoRa, Aloba, commodity LoRa and plain
   envelope-detector receivers.
 * :mod:`repro.net` — backscatter tag, access point, feedback loop, ARQ,
   channel hopping, rate adaptation, slotted-ALOHA MAC.
-* :mod:`repro.sim` — Monte-Carlo link simulation, event-driven network
-  simulation and the per-figure experiment drivers.
+* :mod:`repro.sim` — calibrated link models, waveform-level ablation
+  sweeps, scenario-driven network simulation and the per-figure experiment
+  drivers.
 """
 
 import importlib

@@ -6,10 +6,11 @@ power constraint) and what a backscatter tag *cannot* afford: the chain
 draws ~40 mW (§1), which the paper's solar harvester would take about 17
 minutes to bank per packet.
 
-:class:`StandardLoRaReceiver` wraps the :class:`~repro.lora.demodulation.
-LoRaDemodulator` together with the ADC/MCU power accounting so the power
-benchmarks can put Saiyan's 93.2 µW ASIC next to it, and so the access-point
-model in :mod:`repro.net` has a concrete receiver.
+:class:`StandardLoRaReceiver` is the link-level model of that chain: its SNR
+thresholds and symbol error probability feed the link and network models,
+and its energy per packet lets the power benchmarks put Saiyan's 93.2 µW
+ASIC next to it.  The waveform-level FFT demodulator is
+:class:`~repro.lora.demodulation.LoRaDemodulator`.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import STANDARD_LORA_RX_POWER_MW
-from repro.dsp.signals import Signal
 from repro.exceptions import ConfigurationError
-from repro.hardware.adc import ADC
-from repro.lora.demodulation import DemodulationResult, LoRaDemodulator
-from repro.lora.packet import LoRaPacket, PacketStructure
 from repro.lora.parameters import DownlinkParameters, LoRaParameters
 from repro.utils import arrays
 
@@ -40,43 +37,16 @@ class StandardLoRaReceiver:
     ----------
     parameters:
         LoRa or downlink air-interface parameters.
-    oversampling:
-        Samples per chip of the waveforms that will be supplied.
     """
 
     name = "standard_lora"
     can_demodulate_payload = True
     power_mw = STANDARD_LORA_RX_POWER_MW
 
-    def __init__(self, parameters: LoRaParameters | DownlinkParameters | None = None, *,
-                 oversampling: int = 4) -> None:
+    def __init__(self, parameters: LoRaParameters | DownlinkParameters | None = None
+                 ) -> None:
         self.parameters = parameters if parameters is not None else LoRaParameters()
-        self.oversampling = int(oversampling)
-        if self.oversampling < 1:
-            raise ConfigurationError(f"oversampling must be >= 1, got {oversampling}")
-        self.demodulator = LoRaDemodulator(self.parameters, oversampling=self.oversampling)
-        self.adc = ADC(sampling_rate_hz=2.0 * self.parameters.bandwidth_hz)
 
-    @property
-    def sample_rate(self) -> float:
-        """Expected input sample rate."""
-        return self.demodulator.sample_rate
-
-    # ------------------------------------------------------------------
-    def demodulate_payload(self, waveform: Signal, num_symbols: int) -> DemodulationResult:
-        """Demodulate an aligned payload waveform."""
-        return self.demodulator.demodulate_payload(waveform, num_symbols)
-
-    def receive_packet(self, waveform: Signal, structure: PacketStructure
-                       ) -> DemodulationResult:
-        """Detect and demodulate one packet from a full waveform."""
-        return self.demodulator.demodulate_packet(waveform, structure)
-
-    def bit_errors(self, reference: LoRaPacket, result: DemodulationResult) -> int:
-        """Count payload bit errors against the transmitted packet."""
-        return self.demodulator.bit_errors(reference, result)
-
-    # ------------------------------------------------------------------
     @classmethod
     def snr_threshold_db(cls, spreading_factor: int) -> float:
         """Demodulation SNR threshold for ``spreading_factor`` (link-level model)."""

@@ -77,8 +77,7 @@ class RicianFading(FadingModel):
         # Direct path amplitude and scattered (complex Gaussian) component,
         # normalised so E[|h|^2] = 1.  The two normals of realisation i are
         # drawn as row i of an (n, 2) block so that a batch of n draws
-        # consumes the generator exactly like n sequential draws — the
-        # bit-identity contract of the batch simulation engines.
+        # consumes the generator exactly like n sequential draws.
         direct = np.sqrt(k / (k + 1.0))
         sigma = np.sqrt(1.0 / (2.0 * (k + 1.0)))
         components = rng.standard_normal((n, 2))

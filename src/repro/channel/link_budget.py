@@ -129,23 +129,13 @@ class LinkBudget:
     def _deterministic_loss_db(self, distance_m):
         """Mean path loss plus walls minus antenna gains (no randomness).
 
-        The single composition of the deterministic loss terms, shared by
-        :meth:`total_loss_db` and :meth:`mean_rss_dbm` so the stochastic and
-        mean paths cannot drift apart when a loss term is added.
+        The deterministic part of :meth:`total_loss_db`; it consumes no
+        randomness, so the shadowing and fading draws that follow it see the
+        caller's random stream untouched.
         """
         loss = self.path_loss.mean_loss_db(distance_m, self.frequency_hz)
         loss = loss + self.walls.total_loss_db
         return loss - (self.tx_antenna_gain_dbi + self.rx_antenna_gain_dbi)
-
-    def mean_rss_dbm(self, distance_m):
-        """Return the deterministic (mean) RSS, ignoring shadowing and fading.
-
-        The batch Monte-Carlo engines build per-packet RSS realisations as
-        ``mean_rss - shadowing + fading`` with block draws from dedicated
-        substreams, so the mean component must not consume any randomness.
-        """
-        return arrays.match_scalar(
-            self.tx_power_dbm - self._deterministic_loss_db(distance_m), distance_m)
 
     @property
     def shadowing_sigma_db(self) -> float:

@@ -4,9 +4,10 @@ Each class models one component of the Saiyan prototype (Figure 12/13): the
 SAW filter that performs the frequency-to-amplitude transformation, the
 common-gate LNA, the square-law envelope detector, the double-threshold
 comparator, the MCU voltage sampler, the mixers/oscillator/IF-amplifier/LPF
-of the cyclic-frequency-shifting circuit, the Apollo2 MCU, the antenna, and
-the solar energy harvester.  Every component also carries a power and cost
-model so the Table 2 / §4.3 energy accounting can be reproduced.
+of the cyclic-frequency-shifting circuit, the solar energy harvester, and
+the ADC of a commodity receive chain (the §1 power comparison).  Every
+component also carries a power and cost model so the Table 2 / §4.3 energy
+accounting can be reproduced.
 """
 
 from repro.hardware.component import Component, PowerProfile
@@ -24,8 +25,6 @@ from repro.hardware.oscillator import Oscillator, DelayLine
 from repro.hardware.if_amplifier import IFAmplifier
 from repro.hardware.lpf import AnalogLowPassFilter
 from repro.hardware.adc import ADC
-from repro.hardware.mcu import Microcontroller
-from repro.hardware.antenna import Antenna
 from repro.hardware.energy_harvester import EnergyHarvester
 from repro.hardware.power import PowerLedger, pcb_power_table, asic_power_budget
 
@@ -46,8 +45,6 @@ __all__ = [
     "IFAmplifier",
     "AnalogLowPassFilter",
     "ADC",
-    "Microcontroller",
-    "Antenna",
     "EnergyHarvester",
     "PowerLedger",
     "pcb_power_table",

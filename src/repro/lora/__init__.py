@@ -1,10 +1,9 @@
 """LoRa physical-layer substrate.
 
 Implements the pieces of the LoRa PHY the paper relies on: chirp-spread-
-spectrum modulation and demodulation, Gray mapping, Hamming forward error
-correction at coding rates 4/5-4/8, whitening, diagonal interleaving, CRC,
-and the packet structure (preamble, sync word, payload) Saiyan synchronises
-to.
+spectrum modulation, FFT demodulation of aligned chirps, and the packet
+structure (preamble, sync word, payload) Saiyan synchronises to, with the
+symbol/bit mapping of the payload.
 
 The paper additionally uses a reduced-alphabet "coding rate" ``K`` (bits per
 chirp, data rate = ``K * BW / 2**SF``) for the downlink feedback signals that
@@ -13,33 +12,15 @@ Saiyan demodulates; that alphabet is implemented by
 """
 
 from repro.lora.parameters import LoRaParameters, DownlinkParameters
-from repro.lora.gray import gray_encode, gray_decode
 from repro.lora.modulation import LoRaModulator
 from repro.lora.demodulation import LoRaDemodulator
-from repro.lora.coding import hamming_encode, hamming_decode, HammingCode
-from repro.lora.whitening import whiten, dewhiten, whitening_sequence
-from repro.lora.interleaving import interleave, deinterleave
-from repro.lora.crc import crc16, append_crc, verify_crc
 from repro.lora.packet import LoRaPacket, PacketStructure, bits_to_symbols, symbols_to_bits
 
 __all__ = [
     "LoRaParameters",
     "DownlinkParameters",
-    "gray_encode",
-    "gray_decode",
     "LoRaModulator",
     "LoRaDemodulator",
-    "hamming_encode",
-    "hamming_decode",
-    "HammingCode",
-    "whiten",
-    "dewhiten",
-    "whitening_sequence",
-    "interleave",
-    "deinterleave",
-    "crc16",
-    "append_crc",
-    "verify_crc",
     "LoRaPacket",
     "PacketStructure",
     "bits_to_symbols",

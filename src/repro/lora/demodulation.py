@@ -3,9 +3,10 @@
 This is the power-hungry reference receiver the paper contrasts Saiyan
 against (§1): down-convert, sample at (at least) the chirp bandwidth,
 dechirp by multiplying with the conjugate base up-chirp, and take an FFT —
-the bin with the most energy is the transmitted symbol.  It is used by the
-access-point model (which runs on a USRP in the paper and has no power
-constraint) and as an accuracy upper bound in the benchmarks.
+the bin with the most energy is the transmitted symbol.  It demodulates
+aligned payloads one chirp at a time, and is the serial oracle of the
+waveform engine's stacked dechirp (the standard-LoRa arm of the ablation
+sweeps).
 """
 
 from __future__ import annotations
@@ -17,13 +18,13 @@ import numpy as np
 from repro.dsp.chirp import lora_downchirp
 from repro.dsp.signals import Signal
 from repro.exceptions import DemodulationError
-from repro.lora.packet import LoRaPacket, PacketStructure, symbols_to_bits
+from repro.lora.packet import symbols_to_bits
 from repro.lora.parameters import DownlinkParameters, LoRaParameters
 
 
 @dataclass
 class DemodulationResult:
-    """Output of a packet demodulation attempt.
+    """Output of a payload demodulation.
 
     Attributes
     ----------
@@ -33,15 +34,11 @@ class DemodulationResult:
         Bits corresponding to ``symbols``.
     symbol_magnitudes:
         Per-symbol winning FFT-bin magnitude (a confidence measure).
-    preamble_index:
-        Sample index at which the preamble was located (0 if the caller
-        supplied an already-aligned payload).
     """
 
     symbols: np.ndarray
     bits: np.ndarray
     symbol_magnitudes: np.ndarray
-    preamble_index: int = 0
 
 
 class LoRaDemodulator:
@@ -149,62 +146,3 @@ class LoRaDemodulator:
         bits = symbols_to_bits(symbols, bits_per_symbol)
         return DemodulationResult(symbols=symbols, bits=bits,
                                   symbol_magnitudes=magnitudes)
-
-    # ------------------------------------------------------------------
-    def detect_preamble(self, signal: Signal, *, threshold: float = 0.5,
-                        num_upchirps: int = 2) -> int | None:
-        """Locate the preamble via dechirp-energy concentration.
-
-        Returns the sample index of the preamble start, or ``None`` if no
-        window concentrates at least ``threshold`` of its dechirped energy in
-        a single FFT bin across ``num_upchirps`` consecutive symbols.
-        """
-        samples = self._check_signal(signal)
-        n = self.samples_per_symbol
-        if samples.size < n * num_upchirps:
-            return None
-        downchirp = np.asarray(self._base_downchirp.samples)[:n]
-        step = max(n // 4, 1)
-        for start in range(0, samples.size - n * num_upchirps + 1, step):
-            bins = []
-            ok = True
-            for k in range(num_upchirps):
-                window = samples[start + k * n: start + (k + 1) * n]
-                spectrum = np.abs(np.fft.fft(window * downchirp))
-                total = np.sum(spectrum)
-                if total <= 0:
-                    ok = False
-                    break
-                peak_bin = int(np.argmax(spectrum))
-                concentration = spectrum[peak_bin] / total
-                if concentration < threshold / np.sqrt(spectrum.size):
-                    ok = False
-                    break
-                bins.append(peak_bin)
-            if ok and len(set(bins)) == 1:
-                return start
-        return None
-
-    def demodulate_packet(self, signal: Signal, structure: PacketStructure
-                          ) -> DemodulationResult:
-        """Demodulate a full packet: find the preamble, skip sync, decode payload."""
-        start = self.detect_preamble(signal)
-        if start is None:
-            raise DemodulationError("no LoRa preamble found in the signal")
-        n = self.samples_per_symbol
-        payload_offset = start + int(round(
-            (structure.preamble_symbols + structure.sync_symbols) * n))
-        payload = Signal(np.asarray(signal.samples)[payload_offset:], self.sample_rate)
-        result = self.demodulate_payload(payload, structure.payload_symbols)
-        result.preamble_index = start
-        return result
-
-    # ------------------------------------------------------------------
-    def bit_errors(self, transmitted: LoRaPacket, result: DemodulationResult) -> int:
-        """Count bit errors between ``transmitted`` payload and a demodulation result."""
-        tx_bits = np.asarray(transmitted.payload_bits)
-        rx_bits = np.asarray(result.bits)[: tx_bits.size]
-        if rx_bits.size < tx_bits.size:
-            rx_bits = np.concatenate([rx_bits, np.zeros(tx_bits.size - rx_bits.size,
-                                                        dtype=np.int64)])
-        return int(np.sum(tx_bits != rx_bits))

@@ -6,6 +6,10 @@ issues feedback commands (retransmission requests, channel hops, rate
 changes, sensor control), the ARQ retransmission policy, the channel-hopping
 and rate-adaptation controllers, and the slotted-ALOHA MAC used when several
 tags acknowledge the same downlink (§4.4, Figure 15, §5.3).
+
+Commands travel as typed :class:`~repro.net.packets.DownlinkCommand` values:
+whether a tag hears one is decided from its downlink RSS, so the feedback
+loop is modelled at the probability level, with no over-the-air bit encoding.
 """
 
 from repro.net.packets import (
@@ -14,7 +18,6 @@ from repro.net.packets import (
     UplinkPacket,
     AckPacket,
 )
-from repro.net.feedback import encode_command, decode_command, FEEDBACK_PAYLOAD_BITS
 from repro.net.tag import BackscatterTag, TagState
 from repro.net.access_point import AccessPoint
 from repro.net.retransmission import RetransmissionPolicy, ArqTracker
@@ -27,9 +30,6 @@ __all__ = [
     "DownlinkCommand",
     "UplinkPacket",
     "AckPacket",
-    "encode_command",
-    "decode_command",
-    "FEEDBACK_PAYLOAD_BITS",
     "BackscatterTag",
     "TagState",
     "AccessPoint",

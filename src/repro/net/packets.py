@@ -18,11 +18,7 @@ from repro.utils.validation import ensure_integer, ensure_non_negative
 
 
 class CommandType(enum.IntEnum):
-    """Downlink feedback command types.
-
-    The integer values are part of the over-the-air encoding
-    (:mod:`repro.net.feedback`), so they must stay stable.
-    """
+    """Downlink feedback command types."""
 
     RETRANSMIT = 0
     CHANNEL_HOP = 1

@@ -11,7 +11,10 @@ Three levels of fidelity are provided, trading accuracy for speed:
   :func:`~repro.sim.waveform_ber.snr_sweep` under a fixed seed.
 * **Link level** — :mod:`repro.sim.link_sim`, a calibrated RSS -> BER /
   detection model that regenerates the field-study figures (BER, range and
-  throughput sweeps) in milliseconds instead of hours.
+  throughput sweeps) in milliseconds instead of hours; the range figures
+  bisect whole model families at once
+  (:func:`~repro.sim.batch.demodulation_ranges`,
+  :func:`~repro.sim.batch.detection_ranges`).
 * **Network level** — :mod:`repro.sim.network_engine`, a scenario-driven
   multi-tag simulation of the feedback loop (ARQ retransmissions, channel
   hopping, rate adaptation, slotted-ALOHA contention) behind the §5.3 case
@@ -38,11 +41,9 @@ from repro.sim.metrics import (
 from repro.sim.batch import (
     BatchRunner,
     BatchRunReport,
-    PacketBatchResult,
     RunManifest,
     demodulation_ranges,
     detection_ranges,
-    simulate_link_packets,
 )
 from repro.sim.link_sim import SaiyanLinkModel, BaselineLinkModel, BackscatterUplinkModel
 from repro.sim.network import FeedbackNetworkSimulator, RetransmissionExperimentResult
@@ -70,11 +71,9 @@ from repro.sim.reporting import format_series, format_table
 __all__ = [
     "BatchRunner",
     "BatchRunReport",
-    "PacketBatchResult",
     "RunManifest",
     "demodulation_ranges",
     "detection_ranges",
-    "simulate_link_packets",
     "EventScheduler",
     "Event",
     "bit_error_rate",

@@ -1,4 +1,4 @@
-"""Batch simulation engine: vectorized Monte-Carlo packet runs and sweeps.
+"""Batch simulation engine: vectorized network windows, ranges and sweeps.
 
 The scalar experiment drivers regenerate every figure through Python loops —
 one packet, one grid point, one fading draw at a time.  That is fine for the
@@ -6,19 +6,13 @@ few-thousand-packet runs behind the published figures but collapses at the
 millions-of-packets scale the roadmap targets.  This module provides the
 batch path:
 
-* :func:`simulate_link_packets` — the Monte-Carlo downlink packet simulator
-  behind :meth:`SaiyanLinkModel.simulate_packets`, with a vectorized
-  ``engine="batch"`` and a packet-by-packet ``engine="scalar"`` reference.
-  Both engines draw from the same per-category random substreams (shadowing,
-  fading, detection, bit errors), so a fixed seed produces **bit-identical**
-  counts on either path — the batch engine is a drop-in replacement, not a
-  statistical approximation of the loop.
 * :func:`run_scenario_windows` — the vectorized window kernel of the
   scenario-driven network engine (:mod:`repro.sim.network_engine`): payload,
-  ALOHA-slot and fixed-width uplink-attempt blocks per measurement window,
-  with the same scalar/batch bit-parity contract as the link engine (the
-  event-driven reference consumes the identical per-category substreams one
-  row at a time).
+  ALOHA-slot and fixed-width uplink-attempt blocks per measurement window.
+  The event-driven reference consumes the identical per-category random
+  substreams one row at a time, so a fixed seed produces **bit-identical**
+  results on either path — the batch engine is a drop-in replacement, not a
+  statistical approximation of the loop.
 * :func:`demodulation_ranges` / :func:`detection_ranges` — vectorized
   bisection over whole model families sharing a link budget, replacing the
   per-config scalar bisection loops of the range figures with array ops that
@@ -44,120 +38,10 @@ import numpy as np
 from repro.constants import BER_RANGE_THRESHOLD
 from repro.exceptions import ConfigurationError, LinkError
 from repro.sim.metrics import SweepResult
-from repro.utils.rng import RandomState, as_rng
-from repro.utils.validation import ensure_integer
 
 #: Number of bisection iterations used by the scalar range searches; the
 #: vectorized searches must use the same count to reproduce the same floats.
 _BISECTION_ITERATIONS: int = 64
-
-
-# ---------------------------------------------------------------------------
-# Link-level Monte-Carlo packet engine
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PacketBatchResult:
-    """Outcome of one Monte-Carlo packet simulation run."""
-
-    num_packets: int
-    detected: int
-    delivered: int
-    bit_errors: int
-
-    @property
-    def detection_ratio(self) -> float:
-        """Fraction of packets detected."""
-        return self.detected / self.num_packets if self.num_packets else 0.0
-
-    @property
-    def delivery_ratio(self) -> float:
-        """Fraction of packets delivered error-free."""
-        return self.delivered / self.num_packets if self.num_packets else 0.0
-
-
-def _link_packet_streams(random_state: RandomState):
-    """Spawn the four per-category substreams of the packet engines.
-
-    Order: shadowing, fading, detection, bit errors.  Both engines must draw
-    the same number of values from each stream (block draws in the batch
-    engine, one-at-a-time draws in the scalar engine) for bit-parity.
-    """
-    return as_rng(random_state).spawn(4)
-
-
-def simulate_link_packets(model, distance_m: float, num_packets: int, *,
-                          payload_bits: int = 64,
-                          include_fading: bool = True,
-                          random_state: RandomState = None,
-                          engine: str = "batch") -> PacketBatchResult:
-    """Simulate ``num_packets`` downlink packets at ``distance_m``.
-
-    Parameters
-    ----------
-    model:
-        A :class:`~repro.sim.link_sim.SaiyanLinkModel` (anything exposing
-        ``link``, ``detection_probability`` and ``bit_error_rate``).
-    engine:
-        ``"batch"`` evaluates the whole run as block array operations;
-        ``"scalar"`` runs the packet-by-packet reference loop.  Both engines
-        return bit-identical counts for the same ``random_state``.
-    """
-    num_packets = ensure_integer(num_packets, "num_packets", minimum=1)
-    payload_bits = ensure_integer(payload_bits, "payload_bits", minimum=1)
-    if engine == "batch":
-        return _simulate_link_packets_batch(model, distance_m, num_packets,
-                                            payload_bits=payload_bits,
-                                            include_fading=include_fading,
-                                            random_state=random_state)
-    if engine == "scalar":
-        return _simulate_link_packets_scalar(model, distance_m, num_packets,
-                                             payload_bits=payload_bits,
-                                             include_fading=include_fading,
-                                             random_state=random_state)
-    raise ConfigurationError(f"unknown engine {engine!r}; expected 'batch' or 'scalar'")
-
-
-def _simulate_link_packets_batch(model, distance_m, num_packets, *, payload_bits,
-                                 include_fading, random_state) -> PacketBatchResult:
-    shadow_rng, fading_rng, detect_rng, bits_rng = _link_packet_streams(random_state)
-    link = model.link
-    mean_rss = link.mean_rss_dbm(float(distance_m))
-    rss = np.full(num_packets, mean_rss)
-    rss -= link.path_loss.sample_shadowing_db(size=num_packets, random_state=shadow_rng)
-    if include_fading:
-        rss += link.fading.sample_gain_db(size=num_packets, random_state=fading_rng)
-    detection = model.detection_probability(rss)
-    detected_mask = detect_rng.random(num_packets) < detection
-    ber = np.asarray(model.bit_error_rate(rss[detected_mask]))
-    errors = bits_rng.binomial(payload_bits, ber) if ber.size else np.zeros(0, dtype=int)
-    return PacketBatchResult(
-        num_packets=num_packets,
-        detected=int(detected_mask.sum()),
-        delivered=int(np.count_nonzero(errors == 0)),
-        bit_errors=int(errors.sum()),
-    )
-
-
-def _simulate_link_packets_scalar(model, distance_m, num_packets, *, payload_bits,
-                                  include_fading, random_state) -> PacketBatchResult:
-    shadow_rng, fading_rng, detect_rng, bits_rng = _link_packet_streams(random_state)
-    link = model.link
-    mean_rss = link.mean_rss_dbm(float(distance_m))
-    detected = delivered = bit_errors = 0
-    for _ in range(num_packets):
-        rss = mean_rss - link.path_loss.sample_shadowing_db(random_state=shadow_rng)
-        if include_fading:
-            rss += link.fading.sample_gain_db(random_state=fading_rng)
-        if detect_rng.random() >= model.detection_probability(rss):
-            continue
-        detected += 1
-        errors = int(bits_rng.binomial(payload_bits, model.bit_error_rate(rss)))
-        bit_errors += errors
-        if errors == 0:
-            delivered += 1
-    return PacketBatchResult(num_packets=num_packets, detected=detected,
-                             delivered=delivered, bit_errors=bit_errors)
 
 
 # ---------------------------------------------------------------------------

@@ -284,30 +284,6 @@ class SaiyanLinkModel:
                 high = mid
         return float(low)
 
-    # ------------------------------------------------------------------
-    # Monte-Carlo packet simulation
-    # ------------------------------------------------------------------
-    def simulate_packets(self, distance_m: float, num_packets: int, *,
-                         payload_bits: int = 64,
-                         include_fading: bool = True,
-                         random_state: RandomState = None,
-                         engine: str = "batch") -> tuple[int, int, int]:
-        """Simulate ``num_packets`` downlink packets at ``distance_m``.
-
-        Returns ``(detected, delivered, bit_errors)`` where delivered counts
-        packets received without any bit error.  The default ``engine="batch"``
-        evaluates the whole Monte-Carlo run as block array operations;
-        ``engine="scalar"`` runs the packet-by-packet reference loop.  Both
-        engines draw from the same per-category substreams, so a fixed seed
-        produces bit-identical counts on either path.
-        """
-        from repro.sim.batch import simulate_link_packets
-
-        result = simulate_link_packets(
-            self, distance_m, num_packets, payload_bits=payload_bits,
-            include_fading=include_fading, random_state=random_state, engine=engine)
-        return result.detected, result.delivered, result.bit_errors
-
     def with_mode(self, mode: SaiyanMode) -> "SaiyanLinkModel":
         """Return a copy of this model with a different Saiyan mode."""
         return SaiyanLinkModel(config=self.config.with_(mode=mode), link=self.link,

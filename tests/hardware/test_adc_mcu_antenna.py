@@ -1,4 +1,4 @@
-"""Unit tests for the ADC, MCU and antenna models."""
+"""Unit tests for the ADC model."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.dsp.signals import Signal
 from repro.exceptions import ConfigurationError
 from repro.hardware.adc import ADC
-from repro.hardware.antenna import Antenna
-from repro.hardware.mcu import Microcontroller
 
 FS = 2e6
 
@@ -58,66 +56,3 @@ def test_adc_validation():
         ADC(sampling_rate_hz=1e6, resolution_bits=0)
     with pytest.raises(ConfigurationError):
         ADC(sampling_rate_hz=1e6).digitize(np.ones(5))
-
-
-# ---------------------------------------------------------------------------
-# Microcontroller
-# ---------------------------------------------------------------------------
-
-def test_mcu_power_formula():
-    mcu = Microcontroller(clock_mhz=1.0, current_ua_per_mhz=10.0, supply_voltage_v=3.3)
-    assert mcu.power.active_power_uw == pytest.approx(33.0)
-
-
-def test_mcu_default_power_is_tens_of_microwatts():
-    mcu = Microcontroller()
-    assert 5.0 < mcu.power.active_power_uw < 50.0
-
-
-def test_mcu_count_high_samples():
-    mcu = Microcontroller()
-    assert mcu.count_high_samples(np.array([0, 1, 1, 0, 1])) == 3
-
-
-def test_mcu_falling_edges():
-    mcu = Microcontroller()
-    edges = mcu.falling_edge_positions(np.array([0, 1, 1, 0, 1, 0]))
-    np.testing.assert_array_equal(edges, [3, 5])
-
-
-def test_mcu_processing_energy_scales_with_samples():
-    mcu = Microcontroller()
-    assert mcu.processing_energy_uj(1000) > mcu.processing_energy_uj(100)
-    assert mcu.processing_energy_uj(0) == 0.0
-
-
-def test_mcu_validation():
-    with pytest.raises(ConfigurationError):
-        Microcontroller().count_high_samples(np.zeros((2, 2)))
-    with pytest.raises(ConfigurationError):
-        Microcontroller().falling_edge_positions(np.array([]))
-    with pytest.raises(ConfigurationError):
-        Microcontroller().processing_energy_uj(-1)
-
-
-# ---------------------------------------------------------------------------
-# Antenna
-# ---------------------------------------------------------------------------
-
-def test_antenna_defaults_match_paper():
-    antenna = Antenna()
-    assert antenna.gain_dbi == pytest.approx(3.0)
-    assert antenna.covers(433.5e6)
-
-
-def test_antenna_out_of_band_gain_reduced():
-    antenna = Antenna(center_frequency_hz=433.5e6, bandwidth_hz=20e6)
-    assert antenna.effective_gain_dbi(433.5e6) == pytest.approx(3.0)
-    assert antenna.effective_gain_dbi(2.4e9) < antenna.gain_dbi
-
-
-def test_antenna_validation():
-    with pytest.raises(Exception):
-        Antenna(center_frequency_hz=0.0)
-    with pytest.raises(Exception):
-        Antenna(efficiency=1.5)

@@ -1,7 +1,5 @@
 """Integration tests: transmitter -> channel -> Saiyan tag, end to end."""
 
-import numpy as np
-
 from repro.channel.environment import indoor_environment, outdoor_environment
 from repro.channel.fading import NoFading
 from repro.core.config import SaiyanConfig, SaiyanMode
@@ -9,9 +7,6 @@ from repro.core.receiver import SaiyanReceiver
 from repro.lora.modulation import LoRaModulator
 from repro.lora.packet import LoRaPacket, PacketStructure
 from repro.lora.parameters import DownlinkParameters
-from repro.net.feedback import decode_command, encode_command
-from repro.net.packets import CommandType, DownlinkCommand
-from repro.net.tag import BackscatterTag
 
 
 def _transmit_and_receive(downlink, packet, distance_m, *, mode=SaiyanMode.SUPER,
@@ -67,26 +62,6 @@ def test_indoor_wall_degrades_link(downlink, rng):
     assert outdoor_report.detected
     # Two concrete walls at 40 m push the signal towards the noise floor.
     assert indoor_report.bit_error_rate >= outdoor_report.bit_error_rate
-
-
-def test_feedback_command_survives_the_full_pipeline(downlink, rng):
-    """Encode a command, send it as a downlink packet, decode it on the tag."""
-    command = DownlinkCommand(command=CommandType.RETRANSMIT, target_tag_id=1, argument=7)
-    bits = encode_command(command)
-    structure = PacketStructure(payload_symbols=int(np.ceil(bits.size / downlink.bits_per_chirp)))
-    packet = LoRaPacket(payload_bits=bits, parameters=downlink, structure=structure)
-    report = _transmit_and_receive(downlink, packet, 50.0, seed=11)
-    assert report.packet_ok
-    decoded = decode_command(report.bits[: bits.size])
-    assert decoded == command
-    # The tag acts on the decoded command.
-    tag = BackscatterTag(1, config=SaiyanConfig(downlink=downlink))
-    original = tag.next_packet(random_state=rng)
-    # Make the argument point at the packet the tag actually sent.
-    command_for_tag = DownlinkCommand(command=CommandType.RETRANSMIT, target_tag_id=1,
-                                      argument=original.sequence)
-    reply = tag.handle_command(command_for_tag, rss_dbm=-60.0)
-    assert reply is not None and reply.is_retransmission
 
 
 def test_different_downlink_rates_round_trip(rng):

@@ -96,16 +96,3 @@ def test_sensitivity_ladder_matches_receiver_constants():
             SaiyanReceiver.detection_sensitivity_dbm(mode), abs=1e-6)
         assert model.demodulation_sensitivity_dbm() == pytest.approx(
             SaiyanReceiver.demodulation_sensitivity_dbm(mode), abs=1e-6)
-
-
-def test_monte_carlo_and_analytic_ber_agree_in_order_of_magnitude():
-    """The link model's Monte-Carlo packet simulation reproduces its own
-    analytic BER when fading is disabled."""
-    model = _link_model()
-    distance = 120.0
-    analytic = model.ber_at_distance(distance)
-    detected, _, bit_errors = model.simulate_packets(distance, 400, payload_bits=64,
-                                                     include_fading=False, random_state=3)
-    measured = bit_errors / max(detected * 64, 1)
-    assert detected == 400
-    assert measured == pytest.approx(analytic, rel=1.0, abs=2e-4)

@@ -1,11 +1,9 @@
-"""Unit tests for downlink/uplink packet types and the feedback encoding."""
+"""Unit tests for downlink/uplink packet types."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import ProtocolError
-from repro.net.feedback import FEEDBACK_PAYLOAD_BITS, decode_command, encode_command
 from repro.net.packets import (
     AckPacket,
     CommandType,
@@ -55,58 +53,3 @@ def test_ack_packet_validation():
     assert ack.slot == 3
     with pytest.raises(ProtocolError):
         AckPacket(tag_id=1, acked_command="hop")
-
-
-# ---------------------------------------------------------------------------
-# Feedback encoding
-# ---------------------------------------------------------------------------
-
-def test_encode_command_length():
-    command = DownlinkCommand(command=CommandType.RETRANSMIT, target_tag_id=7, argument=42)
-    bits = encode_command(command)
-    assert bits.size == FEEDBACK_PAYLOAD_BITS
-
-
-def test_encode_decode_round_trip():
-    for command_type in CommandType:
-        command = DownlinkCommand(command=command_type, target_tag_id=9, argument=13)
-        decoded = decode_command(encode_command(command))
-        assert decoded == command
-
-
-def test_decode_rejects_corrupted_crc():
-    command = DownlinkCommand(command=CommandType.CHANNEL_HOP, target_tag_id=1, argument=2)
-    bits = encode_command(command)
-    bits[5] ^= 1
-    assert decode_command(bits) is None
-
-
-def test_decode_rejects_unknown_command_code():
-    command = DownlinkCommand(command=CommandType.RETRANSMIT, target_tag_id=1)
-    bits = encode_command(command)
-    # Forge a valid CRC over an invalid command code.
-    from repro.lora.crc import append_crc
-
-    header = bits[:24].copy()
-    header[8:16] = [1, 1, 1, 1, 1, 1, 1, 1]  # command code 255
-    forged = append_crc(header)
-    assert decode_command(forged) is None
-
-
-def test_decode_rejects_wrong_length():
-    with pytest.raises(ProtocolError):
-        decode_command(np.zeros(10, dtype=int))
-
-
-def test_encode_requires_downlink_command():
-    with pytest.raises(ProtocolError):
-        encode_command("retransmit")
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(list(CommandType)),
-       st.integers(min_value=0, max_value=255),
-       st.integers(min_value=0, max_value=255))
-def test_round_trip_property(command_type, target, argument):
-    command = DownlinkCommand(command=command_type, target_tag_id=target, argument=argument)
-    assert decode_command(encode_command(command)) == command

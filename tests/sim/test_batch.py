@@ -8,16 +8,14 @@ import numpy as np
 import pytest
 
 from repro.channel.environment import indoor_environment, outdoor_environment
-from repro.channel.fading import NoFading, RayleighFading, RicianFading
+from repro.channel.fading import NoFading
 from repro.core.config import SaiyanConfig, SaiyanMode
 from repro.exceptions import ConfigurationError, LinkError
 from repro.lora.parameters import DownlinkParameters
 from repro.sim.batch import (
     BatchRunner,
-    PacketBatchResult,
     demodulation_ranges,
     detection_ranges,
-    simulate_link_packets,
 )
 from repro.sim.link_sim import BaselineLinkModel, SaiyanLinkModel
 from repro.sim.metrics import SweepResult
@@ -45,31 +43,6 @@ def _simulator(probability: float, rss_dbm: float) -> FeedbackNetworkSimulator:
     )
 
 
-# ---------------------------------------------------------------------------
-# Link-level Monte-Carlo engine
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("fading", [NoFading(), RayleighFading(),
-                                    RicianFading(k_factor_db=9.0)])
-@pytest.mark.parametrize("distance_m", [50.0, 140.0, 200.0])
-def test_link_engines_are_bit_identical(fading, distance_m):
-    model = _model(environment=outdoor_environment(fading=fading))
-    batch = simulate_link_packets(model, distance_m, 4000, random_state=99,
-                                  engine="batch")
-    scalar = simulate_link_packets(model, distance_m, 4000, random_state=99,
-                                   engine="scalar")
-    assert batch == scalar
-
-
-def test_link_engines_bit_identical_without_fading_draws():
-    model = _model()
-    batch = simulate_link_packets(model, 120.0, 2000, include_fading=False,
-                                  random_state=7, engine="batch")
-    scalar = simulate_link_packets(model, 120.0, 2000, include_fading=False,
-                                   random_state=7, engine="scalar")
-    assert batch == scalar
-
-
 def _with_shadowing(model: SaiyanLinkModel, sigma_db: float) -> SaiyanLinkModel:
     from dataclasses import replace
 
@@ -80,46 +53,7 @@ def _with_shadowing(model: SaiyanLinkModel, sigma_db: float) -> SaiyanLinkModel:
                            saw_filter=model.saw_filter)
 
 
-def test_link_engines_bit_identical_with_shadowing():
-    environment = outdoor_environment(fading=RayleighFading())
-    model = _with_shadowing(_model(environment=environment), 4.0)
-    assert model.link.shadowing_sigma_db > 0  # shadowing substream exercised
-    batch = simulate_link_packets(model, 80.0, 3000, random_state=5, engine="batch")
-    scalar = simulate_link_packets(model, 80.0, 3000, random_state=5, engine="scalar")
-    assert batch == scalar
-
-
-def test_packet_batch_result_ratios():
-    result = PacketBatchResult(num_packets=200, detected=150, delivered=120,
-                               bit_errors=77)
-    assert result.detection_ratio == pytest.approx(0.75)
-    assert result.delivery_ratio == pytest.approx(0.6)
-    empty = PacketBatchResult(num_packets=0, detected=0, delivered=0, bit_errors=0)
-    assert empty.detection_ratio == 0.0
-    assert empty.delivery_ratio == 0.0
-
-
-def test_counts_are_internally_consistent():
-    model = _model()
-    result = simulate_link_packets(model, 100.0, 5000, random_state=3)
-    assert 0 <= result.delivered <= result.detected <= result.num_packets
-    assert result.bit_errors >= 0
-
-
-def test_simulate_packets_method_delegates_to_engine():
-    model = _model()
-    detected, delivered, bit_errors = model.simulate_packets(
-        100.0, 1000, random_state=11, engine="batch")
-    result = simulate_link_packets(model, 100.0, 1000, random_state=11,
-                                   engine="scalar")
-    assert (detected, delivered, bit_errors) == (
-        result.detected, result.delivered, result.bit_errors)
-
-
 def test_unknown_engine_rejected():
-    model = _model()
-    with pytest.raises(ConfigurationError):
-        simulate_link_packets(model, 100.0, 10, engine="gpu")
     simulator = _simulator(0.5, -60.0)
     with pytest.raises(ConfigurationError):
         simulator.run_retransmission_experiment(num_packets=10, engine="gpu")

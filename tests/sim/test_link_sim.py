@@ -100,24 +100,6 @@ def test_with_mode_returns_new_model():
     assert vanilla.demodulation_range_m() < model.demodulation_range_m()
 
 
-def test_simulate_packets_counts_are_consistent():
-    model = _model()
-    detected, delivered, bit_errors = model.simulate_packets(
-        50.0, 200, payload_bits=32, random_state=0)
-    assert 0 <= delivered <= detected <= 200
-    assert bit_errors >= 0
-    # At 50 m the link is strong: nearly everything goes through.
-    assert delivered > 150
-
-
-def test_simulate_packets_fails_far_beyond_range():
-    model = _model()
-    detected, delivered, _ = model.simulate_packets(1000.0, 100, random_state=1,
-                                                    include_fading=False)
-    assert detected == 0
-    assert delivered == 0
-
-
 def test_baseline_models_sensitivities_and_ranges():
     link = outdoor_environment(fading=NoFading()).link_budget()
     plora = BaselineLinkModel("plora", link)

@@ -2,36 +2,22 @@
 
 The contract the batch subsystem is built on: a fixed seed fully determines
 every Monte-Carlo outcome, and it determines the *same* outcome no matter
-which engine runs it.  These tests pin that contract for the link-level
-packet simulator and both network-level case studies.
+which engine runs it.  These tests pin that contract for both network-level
+case studies.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.channel.environment import outdoor_environment
-from repro.channel.fading import RicianFading
 from repro.channel.interference import InterferenceEnvironment, Jammer
 from repro.core.config import SaiyanConfig, SaiyanMode
 from repro.lora.parameters import DownlinkParameters
 from repro.net.channel_hopping import ChannelHopController, ChannelPlan
-from repro.sim.link_sim import SaiyanLinkModel
 from repro.sim.network import FeedbackNetworkSimulator
 
 SEEDS = (0, 1, 2024)
 ENGINES = ("scalar", "batch")
-
-
-@pytest.fixture
-def model() -> SaiyanLinkModel:
-    downlink = DownlinkParameters(spreading_factor=7, bandwidth_hz=500e3,
-                                  bits_per_chirp=2)
-    environment = outdoor_environment(fading=RicianFading(k_factor_db=9.0))
-    return SaiyanLinkModel(config=SaiyanConfig(downlink=downlink,
-                                               mode=SaiyanMode.SUPER),
-                           link=environment.link_budget())
 
 
 def _network_simulator() -> FeedbackNetworkSimulator:
@@ -55,30 +41,11 @@ def _hop_controller() -> ChannelHopController:
         interference=interference, interference_threshold_dbm=-80.0)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_simulate_packets_same_seed_same_outcome_per_engine(model, seed):
-    outcomes = {
-        engine: [model.simulate_packets(130.0, 2000, random_state=seed,
-                                        engine=engine) for _ in range(2)]
-        for engine in ENGINES
-    }
-    for engine, (first, second) in outcomes.items():
-        assert first == second, f"{engine} engine is not seed-deterministic"
-    assert outcomes["scalar"][0] == outcomes["batch"][0]
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_simulate_packets_integer_seed_equals_generator_seed(model, seed):
-    from_int = model.simulate_packets(130.0, 500, random_state=seed)
-    from_generator = model.simulate_packets(
-        130.0, 500, random_state=np.random.default_rng(seed))
-    assert from_int == from_generator
-
-
-def test_different_seeds_give_different_outcomes(model):
-    outcomes = {model.simulate_packets(130.0, 2000, random_state=seed)
-                for seed in range(8)}
-    assert len(outcomes) > 1
+def test_different_seeds_give_different_outcomes():
+    outcomes = [_network_simulator().run_retransmission_experiment(
+        num_packets=800, max_retransmissions=2, random_state=seed)
+        for seed in range(8)]
+    assert any(outcome != outcomes[0] for outcome in outcomes[1:])
 
 
 @pytest.mark.parametrize("seed", SEEDS)

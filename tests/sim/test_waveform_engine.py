@@ -15,6 +15,7 @@ from repro.core.config import SaiyanConfig, SaiyanMode
 from repro.exceptions import ConfigurationError
 from repro.lora.demodulation import LoRaDemodulator
 from repro.lora.modulation import LoRaModulator
+from repro.lora.parameters import DownlinkParameters
 from repro.sim.waveform_ber import measure_symbol_errors, snr_sweep
 from repro.sim import waveform_engine
 from repro.sim.waveform_engine import (
@@ -112,19 +113,28 @@ def test_generator_random_state_threads_through_engine(saiyan_config):
 # The standard-LoRa stacked dechirp path
 # ---------------------------------------------------------------------------
 
-def test_stacked_dechirp_matches_serial_lora_demodulator(downlink):
+@pytest.mark.parametrize("snr_db", [-2.0, -20.0])
+@pytest.mark.parametrize("bits_per_chirp", [1, 2, 5, 7])
+def test_stacked_dechirp_matches_serial_lora_demodulator(bits_per_chirp, snr_db):
     from repro.dsp.noise import add_awgn_snr
 
-    receiver = ReceiverSpec(kind="standard_lora").build()
+    num_symbols = 48
+    receiver = ReceiverSpec(kind="standard_lora", bits_per_chirp=bits_per_chirp).build()
+    downlink = DownlinkParameters(spreading_factor=7, bandwidth_hz=500e3,
+                                  bits_per_chirp=bits_per_chirp)
     modulator = LoRaModulator(downlink, oversampling=4)
     demodulator = LoRaDemodulator(downlink, oversampling=4)
     rng = np.random.default_rng(3)
-    symbols = rng.integers(0, downlink.alphabet_size, size=12)
-    noisy = add_awgn_snr(modulator.modulate_symbols(symbols), -2.0, random_state=rng)
-    serial = demodulator.demodulate_payload(noisy, 12).symbols
+    symbols = rng.integers(0, downlink.alphabet_size, size=num_symbols)
+    noisy = add_awgn_snr(modulator.modulate_symbols(symbols), snr_db, random_state=rng)
+    serial = demodulator.demodulate_payload(noisy, num_symbols).symbols
     stacked = receiver._decide_stack(
-        np.asarray(noisy.samples).reshape(12, modulator.samples_per_symbol))
+        np.asarray(noisy.samples).reshape(num_symbols, modulator.samples_per_symbol))
     np.testing.assert_array_equal(stacked, serial)
+    if snr_db < -10.0:
+        # Deep below the LoRa threshold the two paths must agree on the
+        # wrong decisions too, not only on the clean ones.
+        assert np.count_nonzero(serial != symbols) > 0
 
 
 def test_standard_lora_beats_saiyan_at_low_snr():
