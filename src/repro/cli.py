@@ -601,12 +601,18 @@ def _run_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
+
+
 def _run_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro.exceptions import ConfigurationError
 
     if args.action == "run":
+        import signal
+
         from repro.serve.server import JobServer, serve_http
         from repro.sim.store import open_store
 
@@ -616,6 +622,9 @@ def _run_serve(args: argparse.Namespace) -> int:
                                job_deadline_s=args.job_deadline)
         httpd = serve_http(job_server, host=args.host, port=args.port)
         host, port = httpd.server_address[:2]
+        # SIGTERM, what ``kill`` and service managers send, takes the same
+        # clean shutdown as Ctrl-C.
+        previous_sigterm = signal.signal(signal.SIGTERM, _interrupt)
         try:
             # Inside the ``try``: a client that stops the daemon as soon as
             # it reads this line must reach the clean shutdown below.
@@ -629,6 +638,7 @@ def _run_serve(args: argparse.Namespace) -> int:
             # serve_forever ran (or never started) in this thread, so it has
             # returned: no httpd.shutdown(), which would wait forever for a
             # loop that never started.
+            signal.signal(signal.SIGTERM, previous_sigterm)
             httpd.server_close()
             job_server.stop()
         return 0

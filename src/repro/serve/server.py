@@ -5,11 +5,15 @@ so single-flight is *strict*; only the first store read of a digest runs
 outside it):
 
 1. parse → store key → digest (the coalescing key **is** the store
-   digest, so "identical request" means "identical result bits").
+   digest, so "identical request" means "identical result bits").  A
+   spec's address (key text and digest) is memoized per server, so a
+   repeat goes from parse straight to steps 2–3 with no key building;
+   the address is rebuilt only when the memo cannot answer (step 4).
 2. digest already in flight → attach to that job (*coalesced*).
 3. digest finished in the memo → answer from memory (*store*): no disk
    read, no JSON decode, the payload's encoded text reused as is.
-4. otherwise release the lock, read the store entry and encode it once,
+4. otherwise build the key outside the lock, re-check the memo under it,
+   then read the store entry and encode it once outside the lock,
    then retake the lock and re-check the memo: now in flight → attach;
    a store hit → answer it (*store*) and keep it in the memo; else
    register the job, persist it in the
@@ -85,7 +89,7 @@ __all__ = ["Job", "JobServer", "ServerBusyError", "serve_http"]
 #: its payload and encoded text here.  Beyond this bound the oldest
 #: finished records are dropped (their payloads live in the store and
 #: their bookkeeping in the queue, so nothing is lost; the next request
-#: reads the store again).
+#: reads the store again).  The same bound caps the spec → address memo.
 DONE_MEMO_LIMIT: int = 1024
 
 #: ``Retry-After`` hint (seconds) sent with admission-control rejections.
@@ -189,6 +193,9 @@ class JobServer:
         self.job_deadline_s = job_deadline_s
         self.watchdog_interval_s = watchdog_interval_s
         self._jobs: dict[str, Job] = {}
+        # spec -> (canonical key text, digest), so a repeat request skips
+        # key building; oldest address out first past DONE_MEMO_LIMIT.
+        self._addresses: dict[JobSpec, tuple[str, str]] = {}
         self._cond = threading.Condition()
         self._threads: list[threading.Thread] = []
         self._watchdog_thread: threading.Thread | None = None
@@ -272,11 +279,23 @@ class JobServer:
         hit); callers that need the result use :meth:`wait`.
         """
         spec = request if isinstance(request, JobSpec) else parse_job(request)
+        with self._cond:
+            self.requests += 1
+            address = self._addresses.get(spec)
+            if address is not None:
+                job = self._answer_from_memo_locked(address[1], spec, address[0])
+                if job is not None:
+                    return job
+        # The memo cannot answer: (re)build the key, which the store read
+        # needs, and remember the spec's address for its repeats.
         key = job_store_key(spec)
         key_json = canonical_json(key)
         digest = hashlib.sha256(key_json.encode("utf-8")).hexdigest()
         with self._cond:
-            self.requests += 1
+            self._addresses.pop(spec, None)
+            self._addresses[spec] = (key_json, digest)
+            while len(self._addresses) > DONE_MEMO_LIMIT:
+                del self._addresses[next(iter(self._addresses))]
             job = self._answer_from_memo_locked(digest, spec, key_json)
             if job is not None:
                 return job
@@ -724,6 +743,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
 class ServeHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
+    # socketserver's listen backlog of 5 drops the SYNs of a burst of
+    # one-connection-per-request clients; each retries after a 1 s timeout.
+    request_queue_size = 128
 
     def __init__(self, address, job_server: JobServer) -> None:
         super().__init__(address, _ServeHandler)

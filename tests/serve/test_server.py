@@ -9,6 +9,7 @@ is asserted exactly — then the pool starts and the queue drains.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 
@@ -408,6 +409,128 @@ def test_concurrent_first_touches_keep_single_flight(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# Address memo: each spec's key is built once per server
+# ---------------------------------------------------------------------------
+
+def _counting_key(monkeypatch):
+    """Patch the server's job_store_key with a call-recording delegate."""
+    calls: list = []
+    original = server_mod.job_store_key
+
+    def record(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(server_mod, "job_store_key", record)
+    return calls
+
+
+def _registered_requests():
+    from repro.sim.experiments import FIGURE_DRIVERS
+    from repro.sim.scenario import scenario_names
+    from repro.sim.waveform_engine import sweep_names
+
+    return ([{"kind": "figure", "name": name} for name in sorted(FIGURE_DRIVERS)]
+            + [{"kind": "scenario", "name": name} for name in scenario_names()]
+            + [{"kind": "waveform", "name": name} for name in sweep_names()])
+
+
+def test_memoized_address_equals_the_store_key_of_every_template(tmp_path):
+    from repro.utils.hashing import canonical_json
+
+    templates = _registered_requests()
+    assert len(templates) == 33
+    variants = [dict(template, **extra) for template in templates
+                for extra in ({}, {"seed": 7})]
+    variants += [dict(template, seed=seed, shards=shards)
+                 for template in templates if template["kind"] == "waveform"
+                 for seed, shards in ((None, 1), (3, 2))]
+    server = _server(tmp_path)           # no workers: misses stay queued
+    try:
+        for request in variants:
+            spec = parse_job(request)
+            job = server.submit(spec)
+            key = server_mod.job_store_key(spec)
+            assert server._addresses[spec] == (canonical_json(key),
+                                               server.store.digest(key))
+            assert job.digest == server.store.digest(key)
+        assert len(server._addresses) == len(variants)
+    finally:
+        server.queue.close()
+
+
+def test_repeat_submit_builds_no_key(tmp_path, monkeypatch):
+    server = _server(tmp_path)
+    request = {"kind": "figure", "name": "fig5"}
+    _stored(server, request)
+    keys = _counting_key(monkeypatch)
+    try:
+        first = server.submit(request)
+        assert len(keys) == 1
+        for _ in range(3):
+            repeat = server.submit(request)
+            assert repeat.provenance == "store"
+            assert repeat.result_json is first.result_json
+        assert len(keys) == 1
+    finally:
+        server.queue.close()
+
+
+def test_pruned_job_rebuilds_its_key_for_the_store_read(tmp_path, monkeypatch):
+    server = _server(tmp_path)
+    request = {"kind": "figure", "name": "fig5"}
+    _stored(server, request)
+    first = server.submit(request)
+    with server._cond:
+        del server._jobs[first.digest]   # as _prune_memo would
+    keys = _counting_key(monkeypatch)
+    gets = _counting_get(monkeypatch)
+    try:
+        again = server.submit(request)
+        assert len(keys) == 1
+        assert gets == [first.digest]
+        assert again.provenance == "store"
+        assert again.payload == first.payload
+    finally:
+        server.queue.close()
+
+
+def test_address_memo_is_bounded_oldest_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(server_mod, "DONE_MEMO_LIMIT", 4)
+    monkeypatch.setattr(server_mod, "execute_job",
+                        lambda spec, store: ({"seed": spec.seed}, "miss"))
+    with _server(tmp_path) as server:
+        specs = []
+        for seed in range(9):
+            job = server.wait(server.submit(
+                {"kind": "scenario", "name": "aloha-dense", "seed": seed}), 60)
+            assert job.payload == {"seed": seed}
+            specs.append(job.spec)
+        with server._cond:
+            assert list(server._addresses) == specs[-4:]
+
+
+def test_rejected_specs_leave_no_address(tmp_path, monkeypatch):
+    from repro.exceptions import ConfigurationError
+    from repro.sim.store import UncacheableError
+
+    server = _server(tmp_path)
+    try:
+        with pytest.raises(ConfigurationError):
+            server.submit({"kind": "figure", "name": "fig999"})
+
+        def uncacheable(spec):
+            raise UncacheableError("no stable encoding")
+
+        monkeypatch.setattr(server_mod, "job_store_key", uncacheable)
+        with pytest.raises(UncacheableError):
+            server.submit({"kind": "figure", "name": "fig5"})
+        assert server._addresses == {}
+    finally:
+        server.queue.close()
+
+
+# ---------------------------------------------------------------------------
 # HTTP front end
 # ---------------------------------------------------------------------------
 
@@ -424,6 +547,25 @@ def http_server(tmp_path):
         yield ServeClient(f"http://{host}:{port}"), job_server
     finally:
         httpd.shutdown()
+        httpd.server_close()
+        job_server.stop()
+
+
+def test_listen_backlog_admits_a_burst_of_connects(tmp_path):
+    """Twenty connects to a daemon that accepts none all complete at once;
+    a backlog of 5 admits six and stalls the rest past the timeout."""
+    job_server = _server(tmp_path)
+    httpd = serve_http(job_server)       # listening, but nothing accepts
+    host, port = httpd.server_address[:2]
+    connections = []
+    try:
+        for _ in range(20):
+            connections.append(socket.create_connection((host, port),
+                                                        timeout=0.4))
+        assert len(connections) == 20
+    finally:
+        for connection in connections:
+            connection.close()
         httpd.server_close()
         job_server.stop()
 

@@ -498,6 +498,41 @@ def test_serve_submit_rejects_unknown_names(capsys, serve_daemon):
     assert "unknown figure name" in capsys.readouterr().err
 
 
+def test_serve_run_shuts_down_cleanly_on_sigterm(tmp_path):
+    """SIGTERM reaches the same clean shutdown as Ctrl-C: exit code 0."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    import threading
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "run", "--port", "0",
+         "--store-dir", str(tmp_path / "store")],
+        cwd=root, env=env, stdin=subprocess.DEVNULL,
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    # A daemon that never listens would block the read loop: kill it.
+    watchdog = threading.Timer(120.0, process.kill)
+    watchdog.start()
+    line = ""
+    try:
+        for line in process.stderr:
+            if "listening on" in line:
+                break
+        process.send_signal(signal.SIGTERM)
+        process.communicate(timeout=10)
+    finally:
+        watchdog.cancel()
+        process.kill()
+    assert "listening on" in line
+    assert process.returncode == 0
+
+
 def test_serve_unreachable_daemon_is_a_clean_error(capsys):
     assert main(["serve", "stats", "--url", "http://127.0.0.1:9"]) == 2
     assert "cannot reach daemon" in capsys.readouterr().err
