@@ -636,8 +636,8 @@ def _run_serve(args: argparse.Namespace) -> int:
             pass
         finally:
             # serve_forever ran (or never started) in this thread, so it has
-            # returned: no httpd.shutdown(), which would wait forever for a
-            # loop that never started.
+            # returned; server_close() alone wakes and ends the handler
+            # threads.
             signal.signal(signal.SIGTERM, previous_sigterm)
             httpd.server_close()
             job_server.stop()

@@ -37,7 +37,14 @@ is later deleted or torn on disk, because a digest's bits never change
 for a given key.
 
 The HTTP layer is a thin JSON translation on
-:class:`http.server.ThreadingHTTPServer` (stdlib only):
+:class:`http.server.HTTPServer` (stdlib only).  It starts no thread per
+connection: each handler thread runs its own loop of ``accept()``, then
+answer that connection until it closes, then ``accept()`` again.  A
+thread that accepts while no other is idle in ``accept()`` starts one
+more first, so one spare is always accepting (a ``wait=1`` request held
+on a queued job never starves hits), and threads persist up to the peak
+number of concurrent connections.  Each reply leaves in one send.
+Routes:
 
 * ``POST /jobs`` — submit; ``?wait=1[&timeout=s]`` blocks for the result.
 * ``GET /jobs/<digest>`` — status + provenance (+ queue bookkeeping).
@@ -67,10 +74,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from typing import Mapping
 from urllib.parse import parse_qs, urlsplit
@@ -124,9 +132,11 @@ class Job:
     done: threading.Event = field(default_factory=threading.Event)
     submitted_at: float = field(default_factory=time.time)
     finished_at: float | None = None
-    #: ``json.dumps(payload)``, encoded once when the job is done; the
-    #: HTTP layer splices it into replies instead of re-encoding.
+    #: ``json.dumps(payload)``, encoded once when the job is done.
     result_json: str | None = None
+    #: ``result_json`` as UTF-8, made at the same time; the HTTP layer
+    #: splices it into replies instead of re-encoding the payload.
+    result_bytes: bytes | None = None
     #: Canonical JSON of the store key; a memo hit must match it, which
     #: keeps the store's guard against digest collisions.
     key_json: str | None = None
@@ -302,13 +312,14 @@ class JobServer:
         # First touch of this digest: read and encode outside the lock.
         payload = self.store.get(key, digest=digest)
         result_json = json.dumps(payload) if payload is not None else None
+        result_bytes = result_json.encode() if result_json is not None else None
         with self._cond:
             job = self._answer_from_memo_locked(digest, spec, key_json)
             if job is not None:
                 return job
             if payload is not None:
-                return self._store_hit_locked(digest, spec, key_json,
-                                              payload, result_json)
+                return self._store_hit_locked(digest, spec, key_json, payload,
+                                              result_json, result_bytes)
             # Miss (or previously failed — both re-enter the queue), so
             # this request needs a queue slot: admission control applies.
             if self.max_queue_depth is not None:
@@ -343,16 +354,18 @@ class JobServer:
         if (existing.status != "done" or existing.result_json is None
                 or existing.key_json != key_json):
             return None
-        return self._store_hit_locked(digest, spec, key_json,
-                                      existing.payload, existing.result_json)
+        return self._store_hit_locked(digest, spec, key_json, existing.payload,
+                                      existing.result_json, existing.result_bytes)
 
     def _store_hit_locked(self, digest: str, spec: JobSpec, key_json: str,
-                          payload, result_json: str) -> Job:
+                          payload, result_json: str,
+                          result_bytes: bytes | None) -> Job:
         """Register a finished *store* answer in the memo (lock held)."""
         self.store_hits += 1
         job = Job(digest=digest, spec=spec, status="done", provenance="store",
                   payload=payload, finished_at=time.time(),
-                  result_json=result_json, key_json=key_json)
+                  result_json=result_json, result_bytes=result_bytes,
+                  key_json=key_json)
         job.done.set()
         self._jobs[digest] = job
         self._prune_memo()
@@ -415,6 +428,7 @@ class JobServer:
             try:
                 payload, provenance = execute_job(job.spec, self.store)
                 result_json = json.dumps(payload)
+                result_bytes = result_json.encode()
             except Exception as error:  # noqa: BLE001 - served back to client
                 with self._cond:
                     self._heartbeats[name] = time.time()
@@ -449,6 +463,7 @@ class JobServer:
                         job.provenance = provenance
                         job.payload = payload
                         job.result_json = result_json
+                        job.result_bytes = result_bytes
                         job.finished_at = time.time()
                         self.computed += 1
                         self._prune_memo()
@@ -600,8 +615,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
-    # The headers and the body go out in separate sends; with Nagle on, a
-    # kept-alive client waits out its delayed ACK (~40 ms) on every reply.
+    # A reply is one send, but a body longer than a segment ends in a
+    # short one; with Nagle on, that tail waits for the client's delayed
+    # ACK (~40 ms) of the segments before it.
     disable_nagle_algorithm = True
 
     @property
@@ -614,7 +630,8 @@ class _ServeHandler(BaseHTTPRequestHandler):
     # -- helpers -------------------------------------------------------
     def _reply(self, status: int, payload: dict,
                headers: dict[str, str] | None = None) -> None:
-        self._reply_text(status, json.dumps(payload), "application/json", headers)
+        self._reply_bytes(status, json.dumps(payload).encode(),
+                          "application/json", headers)
 
     def _reply_result(self, status: int, view: dict, job: Job) -> None:
         """Reply ``view`` with the job's payload appended as ``"result"``.
@@ -623,14 +640,16 @@ class _ServeHandler(BaseHTTPRequestHandler):
         byte-identical to ``json.dumps({**view, "result": job.payload})``
         without re-encoding the payload.
         """
-        if job.result_json is None:
+        if job.result_bytes is None:
             return self._reply(status, {**view, "result": job.payload})
-        body = json.dumps(view)[:-1] + ', "result": ' + job.result_json + "}"
-        self._reply_text(status, body, "application/json")
+        body = b"".join((json.dumps(view)[:-1].encode(), b', "result": ',
+                         job.result_bytes, b"}"))
+        self._reply_bytes(status, body, "application/json")
 
-    def _reply_text(self, status: int, body: str, content_type: str,
-                    headers: dict[str, str] | None = None) -> None:
-        """Write one response; the ``http.reply`` fault hook runs first."""
+    def _reply_bytes(self, status: int, body: bytes, content_type: str,
+                     headers: dict[str, str] | None = None) -> None:
+        """Write one response in one send; the ``http.reply`` fault hook
+        runs first."""
         fault = faults.fire("http.reply")
         if fault is not None and fault.kind == "http_disconnect":
             # Drop the connection before any response bytes: the client
@@ -642,14 +661,16 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 pass
             self.wfile = _NullWriter()
             return
-        encoded = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
+        self.send_header("Content-Length", str(len(body)))
+        if self.request_version != "HTTP/0.9":  # 0.9 has no status or headers
+            # What end_headers() sends, with the body behind the blank line.
+            body = b"".join((*self._headers_buffer, b"\r\n", body))
+            self._headers_buffer = []
+        self.wfile.write(body)
 
     # -- routes --------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler name
@@ -678,10 +699,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
             rendered = render_report(self.jobs.store, bench=load_bench())
             fmt = parse_qs(parts.query).get("format", ["html"])[0]
             if fmt == "md":
-                return self._reply_text(200, rendered["markdown"],
-                                        "text/markdown; charset=utf-8")
-            return self._reply_text(200, rendered["html"],
-                                    "text/html; charset=utf-8")
+                return self._reply_bytes(200, rendered["markdown"].encode(),
+                                         "text/markdown; charset=utf-8")
+            return self._reply_bytes(200, rendered["html"].encode(),
+                                     "text/html; charset=utf-8")
         if len(segments) >= 2 and segments[0] == "jobs":
             digest = segments[1]
             view = self.jobs.describe(digest)
@@ -702,8 +723,19 @@ class _ServeHandler(BaseHTTPRequestHandler):
         parts = urlsplit(self.path)
         if [segment for segment in parts.path.split("/") if segment] != ["jobs"]:
             return self._reply(404, {"error": f"no route {parts.path!r}"})
+        raw_length = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", "0"))
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Checked before reading: rfile.read(-1) blocks until the client
+            # closes.  Without a body length the connection carries no more.
+            self.close_connection = True
+            return self._reply(400, {
+                "error": f"bad request body: Content-Length must be a whole "
+                         f"number >= 0, got {raw_length!r}"})
+        try:
             request = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, json.JSONDecodeError) as error:
             return self._reply(400, {"error": f"bad request body: {error}"})
@@ -741,8 +773,16 @@ class _ServeHandler(BaseHTTPRequestHandler):
         return self._reply(202, view)
 
 
-class ServeHTTPServer(ThreadingHTTPServer):
-    daemon_threads = True
+class ServeHTTPServer(HTTPServer):
+    """HTTP server whose handler threads accept their own connections.
+
+    Each thread loops: ``accept()``; if no other thread is idle in
+    ``accept()``, start one more; answer the connection until it closes;
+    ``accept()`` again.  No thread is started per connection and none
+    hands connections to another, so threads persist up to the peak
+    number of concurrent connections and one spare is always accepting.
+    """
+
     # socketserver's listen backlog of 5 drops the SYNs of a burst of
     # one-connection-per-request clients; each retries after a 1 s timeout.
     request_queue_size = 128
@@ -750,6 +790,63 @@ class ServeHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, job_server: JobServer) -> None:
         super().__init__(address, _ServeHandler)
         self.job_server = job_server
+        self._handlers_lock = threading.Lock()
+        self._idle = 0              # handler threads in (or bound for) accept()
+        self._handler_seq = 0
+        self._closing = threading.Event()
+
+    def serve_forever(self) -> None:
+        """Start the first handler thread; block until :meth:`shutdown`."""
+        with self._handlers_lock:
+            self._spawn_handler_locked()
+        self._closing.wait()
+
+    def shutdown(self) -> None:
+        """Stop accepting: threads blocked in ``accept()`` end, threads on
+        a connection end when it closes, ``serve_forever`` returns."""
+        self._closing.set()
+        # close() alone leaves threads blocked in accept(); on Linux
+        # shutdown() wakes each of them with EINVAL.
+        try:
+            self.socket.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already closed, or ENOTCONN on some platforms
+            pass
+
+    def server_close(self) -> None:
+        self.shutdown()
+        super().server_close()
+
+    def _spawn_handler_locked(self) -> None:
+        """Start one handler thread (callers hold ``_handlers_lock``)."""
+        self._idle += 1
+        thread = threading.Thread(
+            target=self._handle_connections, daemon=True,
+            name=f"repro-serve-http-{self._handler_seq}")
+        self._handler_seq += 1
+        thread.start()
+
+    def _handle_connections(self) -> None:
+        while True:
+            try:
+                request, client_address = self.get_request()
+            except OSError:
+                if self._closing.is_set():
+                    return
+                continue  # ECONNABORTED, EMFILE, ...: keep accepting
+            with self._handlers_lock:
+                self._idle -= 1
+                if not self._idle:
+                    self._spawn_handler_locked()
+            try:
+                self.finish_request(request, client_address)
+            except Exception:  # noqa: BLE001 - socketserver's contract
+                self.handle_error(request, client_address)
+            finally:
+                # Idle before the close, so a client that waits for it
+                # and connects again finds a spare counted.
+                with self._handlers_lock:
+                    self._idle += 1
+                self.shutdown_request(request)
 
 
 def serve_http(job_server: JobServer, host: str = "127.0.0.1",

@@ -666,8 +666,9 @@ def test_http_no_wait_returns_202_then_completes(http_server):
 
 
 def test_http_keep_alive_replies_are_not_delayed_by_nagle(http_server, monkeypatch):
-    # Headers and body leave in two sends; with Nagle on, every reply on a
-    # kept-alive connection waits out the client's delayed ACK (~40 ms).
+    # A reply is one send, but a body longer than a segment ends in a short
+    # one; with Nagle on, that tail waits out the client's delayed ACK
+    # (~40 ms) on a kept-alive connection.
     import http.client
     import socket
     from urllib.parse import urlsplit
@@ -697,6 +698,250 @@ def test_http_keep_alive_replies_are_not_delayed_by_nagle(http_server, monkeypat
         connection.close()
     assert len(nodelay) == 1 and nodelay[0] != 0  # one kept-alive socket
     assert elapsed < 0.3, f"10 kept-alive /healthz took {elapsed:.3f} s"
+
+
+class _CountingWriter:
+    """Records each write to a handler's unbuffered ``wfile``: one write
+    is one ``sendall``."""
+
+    def __init__(self, inner, sent: list[bytes]) -> None:
+        self._inner, self._sent = inner, sent
+
+    def write(self, data) -> int:
+        self._sent.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def test_http_reply_leaves_in_one_send(http_server, monkeypatch):
+    sends: list[list[bytes]] = []           # one list per connection
+    setup = server_mod._ServeHandler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        assert handler.wbufsize == 0        # unbuffered: write == sendall
+        sends.append([])
+        handler.wfile = _CountingWriter(handler.wfile, sends[-1])
+
+    monkeypatch.setattr(server_mod._ServeHandler, "setup", recording_setup)
+    client, _ = http_server
+    body = json.dumps({"kind": "figure", "name": "fig5"}).encode()
+    replies = [
+        _raw_request(client.base_url, "POST", "/jobs?wait=1", body),  # miss
+        _raw_request(client.base_url, "POST", "/jobs?wait=1", body),  # hit
+        _raw_request(client.base_url, "GET", "/jobs/" + "f" * 64),    # 404
+        _raw_request(client.base_url, "POST", "/jobs", b"{"),         # 400
+    ]
+    assert [status for status, _ in replies] == [200, 200, 404, 400]
+    assert json.loads(replies[1][1])["provenance"] == "store"
+    assert [len(sent) for sent in sends] == [1, 1, 1, 1]
+    for sent, (_, raw) in zip(sends, replies):
+        assert sent[0].startswith(b"HTTP/1.1 ") and sent[0].endswith(raw)
+
+
+def test_http_negative_content_length_is_rejected_before_reading(http_server):
+    import http.client
+    from urllib.parse import urlsplit
+
+    client, job_server = http_server
+    address = urlsplit(client.base_url)
+    connection = http.client.HTTPConnection(address.hostname, address.port,
+                                            timeout=2)
+    try:
+        connection.putrequest("POST", "/jobs")
+        connection.putheader("Content-Length", "-1")
+        connection.endheaders()
+        response = connection.getresponse()   # times out if the body is read
+        assert response.status == 400
+        assert "Content-Length" in json.loads(response.read())["error"]
+    finally:
+        connection.close()
+    assert job_server.requests == 0
+
+
+# ---------------------------------------------------------------------------
+# Handler threads: each accepts and answers its own connections
+# ---------------------------------------------------------------------------
+
+def _handler_threads() -> set[threading.Thread]:
+    return {thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-serve-http-")}
+
+
+def _start(httpd) -> tuple[str, threading.Thread]:
+    """Run ``httpd.serve_forever`` in a thread; return its URL and loop."""
+    loop = threading.Thread(target=httpd.serve_forever, daemon=True)
+    loop.start()
+    return "http://%s:%d" % httpd.server_address[:2], loop
+
+
+def _post_until_close(url: str, body: bytes) -> bytes:
+    """One ``Connection: close`` POST, read until the server closes."""
+    from urllib.parse import urlsplit
+
+    address = urlsplit(url)
+    with socket.create_connection((address.hostname, address.port),
+                                  timeout=10) as sock:
+        sock.sendall(b"POST /jobs?wait=1 HTTP/1.1\r\nHost: x\r\n"
+                     b"Connection: close\r\nContent-Length: %d\r\n\r\n%s"
+                     % (len(body), body))
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_sequential_hits_keep_at_most_two_handler_threads(tmp_path):
+    """A client that waits for each close finds the last connection's
+    thread counted idle again, so no third thread is ever started."""
+    job_server = _server(tmp_path)
+    before = _handler_threads()
+    httpd = serve_http(job_server)
+    url, _ = _start(httpd)
+    body = json.dumps({"kind": "figure", "name": "fig23"}).encode()
+    try:
+        assert b'"provenance": "miss"' in _post_until_close(url, body)
+        for _ in range(50):
+            reply = _post_until_close(url, body)
+            assert reply.startswith(b"HTTP/1.1 200 ")
+            assert b'"provenance": "store"' in reply
+        assert 1 <= len(_handler_threads() - before) <= 2
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        job_server.stop()
+
+
+def test_held_waits_do_not_starve_a_probe(tmp_path, monkeypatch):
+    """Eight ``wait=1`` requests held on one job each keep a thread; a
+    spare still accepts, so ``/healthz`` answers at once."""
+    release = threading.Event()
+
+    def gated(spec, store):
+        release.wait(30)
+        return execute_job(spec, store)
+
+    monkeypatch.setattr(server_mod, "execute_job", gated)
+    job_server = _server(tmp_path)
+    httpd = serve_http(job_server)
+    url, _ = _start(httpd)
+    body = json.dumps({"kind": "figure", "name": "fig5"}).encode()
+    statuses: list[int] = []
+
+    def held():
+        statuses.append(_raw_request(url, "POST", "/jobs?wait=1", body)[0])
+
+    waiters = [threading.Thread(target=held) for _ in range(8)]
+    try:
+        for waiter in waiters:
+            waiter.start()
+        deadline = time.monotonic() + 10
+        while job_server.requests < 8 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert job_server.requests == 8 and job_server.coalesced == 7
+        started = time.perf_counter()
+        status, raw = _raw_request(url, "GET", "/healthz")
+        assert status == 200 and json.loads(raw)["ok"] is True
+        assert time.perf_counter() - started < 1.0
+        release.set()
+        for waiter in waiters:
+            waiter.join(60)
+        assert statuses == [200] * 8
+    finally:
+        release.set()
+        httpd.shutdown()
+        httpd.server_close()
+        job_server.stop()
+
+
+def test_accept_error_keeps_the_server_answering(tmp_path, monkeypatch):
+    job_server = _server(tmp_path)
+    httpd = serve_http(job_server)
+    accept = httpd.get_request
+    calls: list[int] = []
+
+    def aborting_once():
+        calls.append(1)
+        if len(calls) == 1:
+            raise ConnectionAbortedError("injected ECONNABORTED")
+        return accept()
+
+    monkeypatch.setattr(httpd, "get_request", aborting_once)
+    url, _ = _start(httpd)
+    try:
+        for _ in range(3):
+            assert _raw_request(url, "GET", "/healthz")[0] == 200
+        assert len(calls) >= 4
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        job_server.stop()
+
+
+def test_idle_count_survives_concurrent_connections(tmp_path):
+    """Sixteen clients under a short switch interval: once they are done,
+    every live handler thread is counted idle (a lost update to the count
+    would leave it off for good)."""
+    import sys
+
+    job_server = _server(tmp_path)
+    before = _handler_threads()
+    httpd = serve_http(job_server)
+    url, _ = _start(httpd)
+    statuses: list[int] = []
+
+    def client():
+        for _ in range(10):
+            statuses.append(_raw_request(url, "GET", "/healthz")[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client) for _ in range(16)]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(60)
+        assert not any(thread.is_alive() for thread in clients)
+        assert statuses == [200] * 160
+        deadline = time.monotonic() + 5
+        while (httpd._idle != len(_handler_threads() - before)
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert httpd._idle == len(_handler_threads() - before) >= 1
+    finally:
+        sys.setswitchinterval(interval)
+        httpd.shutdown()
+        httpd.server_close()
+        job_server.stop()
+
+
+@pytest.mark.parametrize("teardown", ["shutdown", "server_close"])
+def test_no_handler_thread_outlives_the_server(tmp_path, teardown):
+    """``shutdown()`` + ``server_close()`` and ``server_close()`` alone
+    (the CLI's path) both wake every thread blocked in ``accept()``."""
+    job_server = _server(tmp_path)
+    before = _handler_threads()
+    httpd = serve_http(job_server)
+    url, loop = _start(httpd)
+    try:
+        for _ in range(5):
+            assert _raw_request(url, "GET", "/healthz")[0] == 200
+        threads = (_handler_threads() - before) | {loop}
+        assert len(threads) >= 2
+        if teardown == "shutdown":
+            httpd.shutdown()
+        httpd.server_close()
+        deadline = time.monotonic() + 1.0
+        while any(thread.is_alive() for thread in threads) \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [thread for thread in threads if thread.is_alive()] == []
+    finally:
+        httpd.server_close()
+        job_server.stop()
 
 
 # ---------------------------------------------------------------------------
